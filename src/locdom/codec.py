@@ -126,7 +126,8 @@ def report_lines(reports: Iterable["BoundReport"]) -> Iterator[str]:
     """One JSON object per bound check, or one skip object per skipped graph.
 
     Key order is fixed (graph6, n, m, then the verdict fields) so equal runs
-    produce bytewise equal output.
+    produce bytewise equal output.  `bound` and `margin` are exact rationals
+    written as strings, such as "10/3", "3" or "-1/3".
     """
     for rep in reports:
         if rep.skipped_reason is not None:
@@ -147,8 +148,8 @@ def report_lines(reports: Iterable["BoundReport"]) -> Iterator[str]:
                     "m": rep.m,
                     "param": chk.parameter,
                     "value": chk.value,
-                    "bound": float(chk.bound),
-                    "margin": float(chk.bound - chk.value),
+                    "bound": str(chk.bound),
+                    "margin": str(chk.bound - chk.value),
                 }
             )
 

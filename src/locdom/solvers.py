@@ -3,27 +3,42 @@ location-domination parameters: domination, total domination, their
 locating variants on vertices, and the edge analogues including the weak
 variant that exempts edge-twin pairs from location.
 
-All parameters are minimum-cardinality subset problems over the same
-skeleton: a ground set (vertices or edges), a covering requirement
-(closed neighbourhoods for plain domination, open ones for total), and
-optionally a location requirement (elements outside the chosen set must
-have pairwise distinct trace on it).  `solve_min` runs iterative deepening
-over the subset size k; for each k it enumerates k-subsets in lexicographic
-order and returns the first feasible one, so the reported witness is the
-lexicographically least optimum and repeated runs are byte-identical.
+All seven parameters are one problem: a minimum hitting set over a family
+of bitmasks on the ground set (vertices, or edges for the edge variants).
+A set D is feasible exactly when it meets every member of the family:
 
-Two prunes keep the search affordable at census scale.  A branch at
-position s dies when some still-uncovered element can only be covered by
-ground elements below s, and when the uncovered count exceeds the free
-slots times the best single-element coverage.  Location is only checked at
-the leaves: it is not monotone along the search path, so interior tests
-would be both wrong and wasted work.
+- one covering mask per element i, its closed neighbourhood (its open one
+  for the total variants): i is dominated exactly when D meets it;
+- for the locating variants, one separation mask per pair a < b,
+  `(adj[a] ^ adj[b]) | 1<<a | 1<<b`: D fails to separate a and b exactly
+  when both lie outside D and their traces on D agree, that is when D
+  misses a, b and every element adjacent to just one of them.  The weak
+  variant has no mask for an edge-twin pair.
+
+Meeting a mask survives adding elements, so feasibility is closed under
+supersets, and a mask that contains another member is redundant; the
+locating families keep only the members that contain no other.
+
+`solve_min` runs iterative deepening over the subset size k; for each k it
+enumerates k-subsets in lexicographic order and returns the first one that
+meets every member, so the reported witness is the lexicographically least
+optimum and repeated runs are byte-identical.  The search state is the set
+of members hit so far.  A branch at position s dies when a member whose
+highest element lies below s is still unhit, since no later choice can hit
+it, and when the unhit count exceeds the free slots times the most members
+any one element hits.  Neither prune removes a feasible set, so the first
+hit in lexicographic order is still the least witness.
+
+The public `is_*` predicates compare traces directly instead of using the
+mask family, so they stay an independent check on the solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import or_
 from typing import Iterable
 
 from .core import Graph, bits
@@ -181,38 +196,50 @@ def is_weak_edge_locating(g: Graph, members: Iterable[int]) -> bool:
     return True
 
 
-def _predicate_parts(g: Graph, param: Parameter):
-    """Covering sets, location adjacency, and twin masks for one parameter."""
+def _constraint_masks(g: Graph, param: Parameter) -> tuple[int, list[int]]:
+    """Ground size and the family of masks that a feasible set must hit.
+
+    The first `ground` members are the covering masks in element order; the
+    separation masks of the locating variants follow, reduced to those that
+    contain no other member.  Raises InfeasibleError when a member is empty,
+    since no set meets it.
+    """
     if param.on_edges:
-        ground = g.m
-        open_adj = g.eadj
+        ground, adj = g.m, g.eadj
     else:
-        ground = g.n
-        open_adj = g.vadj
+        ground, adj = g.n, g.vadj
     if param.total:
-        cover = open_adj
+        family = list(adj)
     else:
-        cover = tuple(adj | (1 << i) for i, adj in enumerate(open_adj))
-    locate_adj = open_adj if param.locating else None
-    twins = edge_twin_masks(g) if param is Parameter.WEAK_EDGE_LOC_DOM else None
-    return ground, cover, locate_adj, twins
-
-
-def _check_feasible_at_all(g: Graph, param: Parameter) -> None:
-    if param.total and not param.on_edges and g.n:
-        if any(adj == 0 for adj in g.vadj):
-            raise InfeasibleError(
-                "isolated_vertex",
-                "infeasible: isolated_vertex (total domination needs every vertex"
-                " to have a neighbour)",
-            )
-    if param.total and param.on_edges and g.m:
-        if any(adj == 0 for adj in g.eadj):
+        family = [a | (1 << i) for i, a in enumerate(adj)]
+    if 0 in family:  # only a total variant has empty covering masks
+        if param.on_edges:
             raise InfeasibleError(
                 "isolated_edge",
                 "infeasible: isolated_edge (edge-total domination needs every edge"
                 " to have an adjacent edge)",
             )
+        raise InfeasibleError(
+            "isolated_vertex",
+            "infeasible: isolated_vertex (total domination needs every vertex"
+            " to have a neighbour)",
+        )
+    if not param.locating:
+        return ground, family
+    twins = edge_twin_masks(g) if param is Parameter.WEAK_EDGE_LOC_DOM else (0,) * ground
+    separations = {
+        adj[a] ^ adj[b] | 1 << a | 1 << b
+        for a in range(ground)
+        for b in range(a + 1, ground)
+        if not twins[a] >> b & 1
+    }
+    for mask in sorted(separations, key=int.bit_count):
+        for low in family:
+            if low & mask == low:
+                break
+        else:
+            family.append(mask)
+    return ground, family
 
 
 def solve_min(g: Graph, parameter: "str | Parameter") -> SolveResult:
@@ -223,77 +250,58 @@ def solve_min(g: Graph, parameter: "str | Parameter") -> SolveResult:
     variants are always feasible (the whole ground set works).
     """
     param = parse_parameter(parameter)
-    _check_feasible_at_all(g, param)
-    ground, cover, locate_adj, twins = _predicate_parts(g, param)
-    size, mask = _minimum_subset(ground, cover, locate_adj, twins)
-    return SolveResult(parameter=param, value=size, witness=frozenset(bits(mask)))
-
-
-def _minimum_subset(ground, cover, locate_adj, twins):
-    """Iterative-deepening lexicographic search over the subset lattice."""
-    if ground == 0:
-        return 0, 0
-    full = (1 << ground) - 1
-
-    # need_by[s]: elements whose whole covering set lies strictly below
-    # position s; once the scan has passed s without covering them, the
-    # branch is dead.
-    marks = [0] * (ground + 1)
-    for i, c in enumerate(cover):
-        marks[c.bit_length()] |= 1 << i
-    need_by = [0] * (ground + 1)
-    acc = 0
-    for s in range(ground + 1):
-        acc |= marks[s]
-        need_by[s] = acc
-
-    max_cover = max(c.bit_count() for c in cover)
-
-    def locate_ok(d: int) -> bool:
-        if twins is None:
-            sigs = sorted(locate_adj[i] & d for i in bits(full & ~d))
-            return all(a != b for a, b in zip(sigs, sigs[1:]))
-        entries = sorted((locate_adj[i] & d, i) for i in bits(full & ~d))
-        i = 0
-        while i < len(entries):
-            j = i + 1
-            group = 1 << entries[i][1]
-            while j < len(entries) and entries[j][0] == entries[i][0]:
-                group |= 1 << entries[j][1]
-                j += 1
-            if j - i > 1:
-                for _, e in entries[i:j]:
-                    if group & ~(twins[e] | (1 << e)):
-                        return False
-            i = j
-        return True
-
-    def dfs(start: int, slots: int, covered: int, chosen: int):
-        if slots == 0:
-            if covered == full and (locate_adj is None or locate_ok(chosen)):
-                return chosen
-            return None
-        if need_by[start] & ~covered:
-            return None
-        if (full & ~covered).bit_count() > slots * max_cover:
-            return None
-        for j in range(start, ground - slots + 1):
-            hit = dfs(j + 1, slots - 1, covered | cover[j], chosen | (1 << j))
-            if hit is not None:
-                return hit
-        return None
-
+    ground, family = _constraint_masks(g, param)
     # Strict location needs ground - k distinct nonempty traces on a k-set,
     # so k-subsets with 2^k - 1 < ground - k cannot work and the deepening
     # can start past them.  Twin exemptions void this bound for the weak
     # variant (a star has weak value 1 at any size).
     first_k = 0
-    if locate_adj is not None and twins is None:
+    if param.locating and param is not Parameter.WEAK_EDGE_LOC_DOM:
         while ground - first_k > (1 << first_k) - 1:
             first_k += 1
+    size, mask = _least_hitting_set(ground, family, first_k)
+    return SolveResult(parameter=param, value=size, witness=frozenset(bits(mask)))
 
-    for k in range(first_k, ground + 1):
-        hit = dfs(0, k, 0, 0)
-        if hit is not None:
-            return k, hit
+
+def _least_hitting_set(ground: int, family: list[int], first_k: int) -> tuple[int, int]:
+    """Smallest subset of range(ground) that meets every mask in family,
+    lexicographically least among the smallest; no size below first_k works."""
+    if not family:
+        return 0, 0
+    full = (1 << len(family)) - 1
+    # hits[j]: the members that element j meets.  Adjacency is symmetric,
+    # so the covering masks are their own transpose.  need_by[s]: the
+    # members whose highest element lies below s.
+    hits = family[:ground]
+    for i in range(ground, len(family)):
+        member, mask = 1 << i, family[i]
+        while mask:
+            low = mask & -mask
+            hits[low.bit_length() - 1] |= member
+            mask ^= low
+    marks = [0] * (ground + 1)
+    for i, mask in enumerate(family):
+        marks[mask.bit_length()] |= 1 << i
+    need_by = list(accumulate(marks, or_))
+    widest = max(map(int.bit_count, hits))
+
+    def dfs(start: int, slots: int, hit: int, chosen: int):
+        if need_by[start] & ~hit or (full ^ hit).bit_count() > slots * widest:
+            return None
+        for j in range(start, ground - slots + 1):
+            now = hit | hits[j]
+            if now == full:
+                return chosen | 1 << j
+            if slots > 1:
+                found = dfs(j + 1, slots - 1, now, chosen | 1 << j)
+                if found is not None:
+                    return found
+        return None
+
+    # A full hit before all k slots are used cannot happen: that smaller set
+    # would have been found at a shallower k.
+    for k in range(max(first_k, 1), ground + 1):
+        found = dfs(0, k, 0, 0)
+        if found is not None:
+            return k, found
     raise AssertionError("unreachable: the full ground set is always feasible here")

@@ -132,7 +132,7 @@ def test_report_check_line_format():
     lines = list(report_lines([rep]))
     assert lines == [
         '{"graph6": "EhEG", "n": 6, "m": 6, "param": "weld", '
-        '"value": 3, "bound": 3.0, "margin": 0.0}'
+        '"value": 3, "bound": "3", "margin": "0"}'
     ]
 
 
@@ -147,8 +147,8 @@ def test_report_fractional_bound_serialisation():
     chk = BoundCheck(parameter="eltd", value=3, bound=Fraction(10, 3), holds=True)
     rep = BoundReport(graph6="X", n=5, m=5, checks=(chk,), skipped_reason=None)
     (line,) = report_lines([rep])
-    assert '"bound": 3.3333333333333335' in line
-    assert '"margin": 0.3333333333333' in line
+    assert '"bound": "10/3"' in line
+    assert '"margin": "1/3"' in line
 
 
 def test_write_report_concatenates_with_newlines():

@@ -19,6 +19,7 @@ from locdom import (
     is_locating,
     is_total_dominating,
     is_weak_edge_locating,
+    parse_graph6,
     parse_parameter,
     solve_min,
 )
@@ -194,6 +195,24 @@ def _cross_check(g):
 def test_minimizer_matches_brute_force_exhaustively():
     for g in enumerate_graphs(EnumerationSpec(n=4, connected_only=False)):
         _cross_check(g)
+    for g in enumerate_graphs(EnumerationSpec(5, connected_only=False, dedup_isomorphic=True)):
+        _cross_check(g)
+
+
+def test_feasibility_is_closed_under_supersets():
+    # The hitting-set solver rests on this: adding an element to a feasible
+    # set never breaks covering or location.
+    rng = random.Random(20261017)
+    for _ in range(50):
+        g = conftest.random_graph(rng, rng.randrange(2, 8), rng.uniform(0.2, 0.8))
+        for param, ref_pred in REF_PREDICATES.items():
+            ground = g.m if param.on_edges else g.n
+            for _ in range(8):
+                d = {x for x in range(ground) if rng.random() < 0.6}
+                if not ref_pred(g, d):
+                    continue
+                for x in set(range(ground)) - d:
+                    assert ref_pred(g, d | {x}), (g.edges, param, d, x)
 
 
 def test_minimizer_matches_brute_force_on_random_graphs():
@@ -205,6 +224,30 @@ def test_minimizer_matches_brute_force_on_random_graphs():
             continue
         seen += 1
         _cross_check(g)
+
+
+# Values and least witnesses beyond brute-force reach, recorded from the
+# leaf-checking solver that the hitting-set search replaced.
+PINNED = [
+    ("JjPOWjs?G@?", "weld", 5, (0, 1, 2, 9, 13)),  # two edge-twins
+    ("Nk_PH?AcJG@CO?O?G??", "weld", 6, (0, 1, 2, 9, 11, 18)),  # three edge-twins
+    ("KsGJCUOWoD?A", "eld", 5, (0, 7, 13, 14, 17)),
+    ("OjQQI?@aH?_AO?QGA???@", "eld", 7, (0, 9, 11, 13, 14, 16, 17)),
+    ("LkWoHGU?_oA?C_", "ltd", 5, (1, 3, 4, 5, 6)),
+    ("NsG_OGo?__Y?Oc?BGOO", "ltd", 6, (2, 3, 5, 6, 11, 14)),
+    ("MtDO`@O?OACO`??_?", "ld", 7, (1, 2, 3, 5, 6, 7, 9)),
+    ("KkGGGcOWoIGC", "eltd", 6, (0, 4, 7, 9, 10, 14)),
+    ("Oi`?aaC?KG?OG@?dA???G", "dom", 5, (0, 1, 3, 8, 11)),
+    ("Lnq?S?Hg?`?A?@", "tdom", 5, (0, 3, 4, 9, 11)),
+]
+
+
+@pytest.mark.parametrize("graph6, name, value, witness", PINNED)
+def test_pinned_values_on_larger_graphs(graph6, name, value, witness):
+    g = parse_graph6(graph6)
+    res = solve_min(g, name)
+    assert (res.value, tuple(sorted(res.witness))) == (value, witness)
+    assert REF_PREDICATES[parse_parameter(name)](g, set(witness))
 
 
 def test_parameter_chains():
