@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .codec import (
+    _is_int,
     parse_edgelist,
     parse_graph6,
     report_lines,
@@ -117,14 +118,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         g = named_graph(params[0])
     print(write_graph6(g))
     return 0
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
 
 
 def _enumerated(args: argparse.Namespace) -> Iterator[Graph]:

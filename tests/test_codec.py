@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locdom import (
     BadCharacterError,
@@ -14,6 +16,7 @@ from locdom import (
     CodecError,
     Graph,
     HeaderMismatchError,
+    LocdomError,
     SizeLimitError,
     VertexRangeError,
     check_graph,
@@ -125,6 +128,41 @@ def test_edgelist_errors():
         parse_edgelist("3 one\n0 1")
     with pytest.raises(VertexRangeError):
         parse_edgelist("2 1\n0 5")
+
+
+FUZZ = settings(max_examples=200, derandomize=True, database=None)
+TOKENS = st.lists(
+    st.one_of(
+        st.integers(-3, 70).map(str),
+        st.text(alphabet=[chr(c) for c in range(60, 128)], max_size=4),
+        st.sampled_from(["", "x", "1.5", "+4", "1_0", "\u0663", ">>graph6<<"]),
+    ),
+    max_size=16,
+)
+
+
+def _parses_or_raises_locdom_error(parse, text):
+    try:
+        g = parse(text)
+    except LocdomError:
+        return
+    assert isinstance(g, Graph)
+
+
+@FUZZ
+@given(st.text())
+def test_parsers_fuzz_arbitrary_text(text):
+    # the contract is LocdomError, not CodecError: VertexRangeError,
+    # SelfLoopError and DuplicateEdgeError are documented siblings of it
+    _parses_or_raises_locdom_error(parse_graph6, text)
+    _parses_or_raises_locdom_error(parse_edgelist, text)
+
+
+@FUZZ
+@given(TOKENS)
+def test_parsers_fuzz_token_lists(tokens):
+    _parses_or_raises_locdom_error(parse_graph6, "".join(tokens))
+    _parses_or_raises_locdom_error(parse_edgelist, " ".join(tokens))
 
 
 def test_report_check_line_format():

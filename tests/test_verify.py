@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import networkx as nx
 import pytest
 
 from locdom import (
@@ -33,9 +34,9 @@ from conftest import random_graph
 # labeled graph counts on n vertices: all, and connected
 ALL_COUNTS = {1: 1, 2: 2, 3: 8, 4: 64, 5: 1024}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
-# unlabeled counts for the dedup mode
-UNLABELED_ALL = {1: 1, 2: 2, 3: 4, 4: 11}
-UNLABELED_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+# unlabeled counts for the dedup mode (OEIS A000088 and A001349)
+UNLABELED_ALL = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+UNLABELED_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 
 
 def test_spec_validation():
@@ -99,6 +100,51 @@ def test_shards_partition_the_stream():
         for i in range(2)
     ]
     assert sorted(conn_pieces[0] + conn_pieces[1]) == sorted(conn_whole)
+
+
+def test_shards_balance_the_connected_stream():
+    whole = CONNECTED_COUNTS[6]
+    for total in range(2, 7):
+        sizes = [
+            sum(1 for _ in enumerate_graphs(EnumerationSpec(n=6, shard=(i, total))))
+            for i in range(total)
+        ]
+        assert sum(sizes) == whole
+        assert max(sizes) <= 1.02 * min(sizes), (total, sizes)
+
+
+def _first_per_class(graphs):
+    """The slow dedup: keep the first graph of each canonical form."""
+    seen = set()
+    for g in graphs:
+        form = canonical_form(g)
+        if form not in seen:
+            seen.add(form)
+            yield g
+
+
+def test_dedup_keeps_first_mask_per_class():
+    for n in range(0, 6):
+        for connected_only in (True, False):
+            for total in (1, 2, 3):
+                for i in range(total):
+                    spec = EnumerationSpec(n, connected_only, shard=(i, total))
+                    dedup = EnumerationSpec(n, connected_only, True, (i, total))
+                    want = [g.edges for g in _first_per_class(enumerate_graphs(spec))]
+                    assert [g.edges for g in enumerate_graphs(dedup)] == want
+
+
+def test_dedup_matches_graph_atlas_at_six_vertices():
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 6]
+    for connected_only in (True, False):
+        spec = EnumerationSpec(n=6, connected_only=connected_only, dedup_isomorphic=True)
+        unmatched = [h for h in atlas if nx.is_connected(h) or not connected_only]
+        for g in enumerate_graphs(spec):
+            h = nx.Graph(g.edges)
+            h.add_nodes_from(range(6))
+            (match,) = [a for a in unmatched if nx.is_isomorphic(a, h)]
+            unmatched.remove(match)
+        assert unmatched == []
 
 
 def test_canonical_form_is_relabeling_invariant():
