@@ -43,16 +43,24 @@ from .verify import (
 )
 
 
-def _read_text(infile: "str | None") -> str:
-    if infile is None:
+def _read_text(args: argparse.Namespace) -> str:
+    """stdin, or the --in file; an unreadable path is a usage error.
+
+    Undecodable bytes become lone surrogates, which the parsers reject as
+    bad characters.
+    """
+    if args.infile is None:
         return sys.stdin.read()
-    return Path(infile).read_text()
+    try:
+        return Path(args.infile).read_text(encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        args.parser.error(f"cannot read --in {args.infile}: {exc.strerror}")
 
 
-def _input_graphs(infile: "str | None") -> list[Graph]:
+def _input_graphs(args: argparse.Namespace) -> list[Graph]:
     return [
         parse_graph6(line)
-        for line in _read_text(infile).splitlines()
+        for line in _read_text(args).splitlines()
         if line.strip()
     ]
 
@@ -64,7 +72,7 @@ def _edge_label(g: Graph, e: int) -> str:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     param = parse_parameter(args.param)
-    for g in _input_graphs(args.infile):
+    for g in _input_graphs(args):
         result = solve_min(g, param)
         if param.on_edges:
             items = [_edge_label(g, e) for e in sorted(result.witness)]
@@ -75,7 +83,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_twins(args: argparse.Namespace) -> int:
-    for g in _input_graphs(args.infile):
+    for g in _input_graphs(args):
         rep = twin_report(g)
         print(
             json.dumps(
@@ -97,7 +105,7 @@ def _cmd_twins(args: argparse.Namespace) -> int:
 
 
 def _cmd_linegraph(args: argparse.Namespace) -> int:
-    for g in _input_graphs(args.infile):
+    for g in _input_graphs(args):
         print(write_graph6(line_graph(g).line))
     return 0
 
@@ -137,7 +145,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.infile is not None and args.shard != (0, 1):
         args.parser.error("--shard applies to internal enumeration, not --in files")
     summary = TheoremSummary(args.theorem)
-    graphs = _input_graphs(args.infile) if args.infile is not None else _enumerated(args)
+    graphs = _input_graphs(args) if args.infile is not None else _enumerated(args)
     for line in report_lines(iter_reports(graphs, args.theorem, summary)):
         print(line)
     print(summary.to_json())
@@ -145,7 +153,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    text = _read_text(args.infile)
+    text = _read_text(args)
     if args.source == "graph6":
         graphs = [parse_graph6(line) for line in text.splitlines() if line.strip()]
     else:

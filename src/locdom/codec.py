@@ -153,7 +153,3 @@ def report_lines(reports: Iterable["BoundReport"]) -> Iterator[str]:
                 }
             )
 
-
-def write_report(reports: Iterable["BoundReport"]) -> str:
-    """Serialise reports to newline-delimited JSON; empty input gives ''."""
-    return "".join(line + "\n" for line in report_lines(reports))

@@ -14,8 +14,7 @@ paying for themselves and exact solving is hopeless anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -148,132 +147,25 @@ class Graph:
         return f"Graph({self.n}, {list(self.edges)})"
 
 
-@dataclass(frozen=True)
-class StructuralSummary:
-    """Connectivity and shape facts used as theorem preconditions."""
+def masks_connected(adj: Sequence[int]) -> bool:
+    """True when the graph with neighbour masks adj has at most one component.
 
-    degrees: tuple[int, ...]
-    components: tuple[frozenset[int], ...]
-    has_isolated_vertex: bool
-    isolated_edges: frozenset[int]
-    girth: int | None
-    diameters: tuple[int, ...]
-    is_connected: bool
-    is_forest: bool
-    is_tree: bool
-
-
-def _component_masks(g: Graph) -> list[int]:
-    out = []
-    left = (1 << g.n) - 1
-    while left:
-        start = left & -left
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.vadj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        out.append(seen)
-        left &= ~seen
-    return out
-
-
-def is_connected(g: Graph) -> bool:
-    """True when g has at most one component (vacuously for n = 0)."""
-    if g.n <= 1:
+    Takes the raw masks so that the enumerator can filter a candidate before
+    it builds a Graph; vacuously true for fewer than two vertices.
+    """
+    if len(adj) <= 1:
         return True
     seen = 1
     frontier = 1
     while frontier:
         nxt = 0
         for v in bits(frontier):
-            nxt |= g.vadj[v]
+            nxt |= adj[v]
         frontier = nxt & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen == (1 << len(adj)) - 1
 
 
-def _bfs_dist(g: Graph, root: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[root] = 0
-    queue = [root]
-    for v in queue:
-        dv = dist[v]
-        for w in bits(g.vadj[v]):
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue.append(w)
-    return dist
-
-
-def _girth(g: Graph) -> int | None:
-    best: int | None = None
-    for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = [root]
-        for v in queue:
-            for w in bits(g.vadj[v]):
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    queue.append(w)
-                elif w != parent[v]:
-                    cand = dist[v] + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
-        if best == 3:
-            break  # nothing shorter exists in a simple graph
-    return best
-
-
-def structural_summary(g: Graph) -> StructuralSummary:
-    degrees = tuple(mask.bit_count() for mask in g.vadj)
-    comp_masks = _component_masks(g)
-    components = tuple(frozenset(bits(mask)) for mask in comp_masks)
-    isolated_edges = frozenset(
-        i for i, (u, v) in enumerate(g.edges) if degrees[u] == 1 and degrees[v] == 1
-    )
-    diameters = []
-    for mask in comp_masks:
-        ecc = 0
-        for v in bits(mask):
-            ecc = max(ecc, max(d for d in _bfs_dist(g, v) if d >= 0))
-        diameters.append(ecc)
-    girth = _girth(g)
-    connected = len(comp_masks) <= 1
-    forest = girth is None
-    return StructuralSummary(
-        degrees=degrees,
-        components=components,
-        has_isolated_vertex=any(d == 0 for d in degrees),
-        isolated_edges=isolated_edges,
-        girth=girth,
-        diameters=tuple(diameters),
-        is_connected=connected,
-        is_forest=forest,
-        is_tree=connected and forest and g.m == g.n - 1,
-    )
-
-
-def delete_edges(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Remove the given edge indices; also return the old-to-new index map.
-
-    Deletion preserves the relative lexicographic order of the surviving
-    edges, so the map is just each survivor's rank among survivors.
-    """
-    drop_mask = 0
-    for e in drop:
-        drop_mask |= 1 << g.check_edge(e)
-    kept = tuple(e for i, e in enumerate(g.edges) if not (drop_mask >> i) & 1)
-    mapping: dict[int, int] = {}
-    new = 0
-    for i in range(g.m):
-        if not (drop_mask >> i) & 1:
-            mapping[i] = new
-            new += 1
-    return Graph._from_canonical(g.n, kept), mapping
+def is_connected(g: Graph) -> bool:
+    """True when g has at most one component (vacuously for n = 0)."""
+    return masks_connected(g.vadj)

@@ -10,9 +10,8 @@ isomorphism.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .core import Graph, bits, structural_summary
+from .core import Graph, bits, is_connected
 from .errors import (
     DiameterTooSmallError,
     EdgeTwinsError,
@@ -92,56 +91,6 @@ def named_graph(name: str) -> Graph:
     raise LocdomError(f"unknown graph name {name!r}")
 
 
-@dataclass(frozen=True)
-class RootedTree:
-    """A tree with a distinguished root and BFS parent pointers."""
-
-    tree: Graph
-    root: int
-    parent: tuple[int, ...]  # parent[root] == -1
-
-    def children(self, v: int) -> tuple[int, ...]:
-        self.tree.check_vertex(v)
-        return tuple(w for w in bits(self.tree.vadj[v]) if self.parent[w] == v)
-
-    def descendants(self, v: int) -> frozenset[int]:
-        """D(v): every proper descendant of v."""
-        out = []
-        stack = list(self.children(v))
-        while stack:
-            w = stack.pop()
-            out.append(w)
-            stack.extend(self.children(w))
-        return frozenset(out)
-
-    def closed_descendants(self, v: int) -> frozenset[int]:
-        """D[v] = D(v) plus v itself."""
-        return self.descendants(v) | {v}
-
-    def depth(self, v: int) -> int:
-        self.tree.check_vertex(v)
-        d = 0
-        while self.parent[v] != -1:
-            v = self.parent[v]
-            d += 1
-        return d
-
-
-def root_tree(g: Graph, root: int) -> RootedTree:
-    if not structural_summary(g).is_tree:
-        raise NotATreeError("rooting requires a tree")
-    g.check_vertex(root)
-    parent = [-1] * g.n
-    seen = 1 << root
-    queue = [root]
-    for v in queue:
-        for w in bits(g.vadj[v] & ~seen):
-            parent[w] = v
-            seen |= 1 << w
-            queue.append(w)
-    return RootedTree(tree=g, root=root, parent=tuple(parent))
-
-
 def _ecc_and_diam(adj: dict[int, set[int]]) -> tuple[dict[int, int], int]:
     ecc = {}
     for s in adj:
@@ -165,8 +114,7 @@ def _nonpendant_pairs(adj: dict[int, set[int]]) -> set[frozenset[int]]:
     }
 
 
-def _construct(adj: dict[int, set[int]]) -> set[frozenset[int]]:
-    ecc, diam = _ecc_and_diam(adj)
+def _construct(adj: dict[int, set[int]], ecc: dict[int, int], diam: int) -> set[frozenset[int]]:
     if diam <= 6:
         return _nonpendant_pairs(adj)
     root = min(v for v in adj if ecc[v] == diam)
@@ -195,7 +143,7 @@ def _construct(adj: dict[int, set[int]]) -> set[frozenset[int]]:
     y_has_leaf = any(len(adj[z]) == 1 for z in adj[y])
     removed = desc | {x} if y_has_leaf else desc
     sub = {a: {b for b in adj[a] if b not in removed} for a in adj if a not in removed}
-    out = _construct(sub)
+    out = _construct(sub, *_ecc_and_diam(sub))
 
     out.add(frozenset((x, w)))
     tx = desc | {x}
@@ -218,15 +166,13 @@ def tree_eltd_construct(g: Graph) -> frozenset[int]:
     of the subtree hanging at x.  Every tie breaks to the smallest vertex
     id, so the output is deterministic.
     """
-    summary = structural_summary(g)
-    if not summary.is_tree:
+    if not (is_connected(g) and g.m == g.n - 1):
         raise NotATreeError("the construction is defined on trees")
     if not is_edge_twin_free(g):
         raise EdgeTwinsError("the construction requires an edge-twin-free tree")
-    if summary.diameters[0] < 4:
-        raise DiameterTooSmallError(
-            f"need diameter >= 4, got {summary.diameters[0]}"
-        )
     adj = {vtx: set(bits(g.vadj[vtx])) for vtx in range(g.n)}
-    pairs = _construct(adj)
+    ecc, diam = _ecc_and_diam(adj)
+    if diam < 4:
+        raise DiameterTooSmallError(f"need diameter >= 4, got {diam}")
+    pairs = _construct(adj, ecc, diam)
     return frozenset(g.edge_id(min(p), max(p)) for p in pairs)

@@ -1,17 +1,14 @@
-"""Line graph construction with an explicit edge-to-vertex correspondence.
+"""Line graph construction.
 
-Vertex i of the line graph is edge i of the base graph under the canonical
-edge order, so the correspondence is the identity on indices and edge
-subsets of the base transfer to vertex subsets of the line graph without
-translation.  The map is still carried explicitly because everything that
-equates edge parameters of G with vertex parameters of L(G) should state
-which bijection it means.
+Vertex i of L(G) is edge i of G under the canonical edge order, so an edge
+subset of G is the same index set read as a vertex subset of L(G): eld and
+eltd of G are ld and ltd of L(G), with the same witnesses.  `LineGraphMap`
+keeps the base graph next to its line graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .core import MAX_EDGES, MAX_VERTICES, Graph, bits
 from .errors import SizeLimitError
@@ -21,7 +18,6 @@ from .errors import SizeLimitError
 class LineGraphMap:
     base: Graph
     line: Graph
-    edge_to_vertex: tuple[int, ...]
 
 
 def line_graph(g: Graph) -> LineGraphMap:
@@ -40,13 +36,5 @@ def line_graph(g: Graph) -> LineGraphMap:
     if len(pairs) > MAX_EDGES:
         raise SizeLimitError(f"line graph would have {len(pairs)} edges, cap is {MAX_EDGES}")
     line = Graph._from_canonical(g.m, tuple(pairs))
-    return LineGraphMap(base=g, line=line, edge_to_vertex=tuple(range(g.m)))
+    return LineGraphMap(base=g, line=line)
 
-
-def transfer_edge_set(lmap: LineGraphMap, members: Iterable[int]) -> frozenset[int]:
-    """Map an edge subset of the base graph to a vertex subset of the line graph."""
-    out = []
-    for e in members:
-        lmap.base.check_edge(e)
-        out.append(lmap.edge_to_vertex[e])
-    return frozenset(out)

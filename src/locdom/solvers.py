@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import or_
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import Graph, bits
 from .errors import InfeasibleError, LocdomError
@@ -56,10 +56,6 @@ class Parameter(Enum):
     EDGE_LOC_DOM = "eld"
     EDGE_LOC_TOTAL_DOM = "eltd"
     WEAK_EDGE_LOC_DOM = "weld"
-
-    @property
-    def short(self) -> str:
-        return self.value
 
     @property
     def on_edges(self) -> bool:
@@ -114,57 +110,50 @@ class SolveResult:
     parameter: Parameter
     value: int
     witness: frozenset[int]
-    optimal: bool = True
 
 
-def _vertex_mask(g: Graph, members: Iterable[int]) -> int:
+def _member_mask(members: Iterable[int], check: Callable[[int], int]) -> int:
+    """Bitmask of members; check is g.check_vertex or g.check_edge."""
     mask = 0
-    for v in members:
-        mask |= 1 << g.check_vertex(v)
-    return mask
-
-
-def _edge_mask(g: Graph, members: Iterable[int]) -> int:
-    mask = 0
-    for e in members:
-        mask |= 1 << g.check_edge(e)
+    for i in members:
+        mask |= 1 << check(i)
     return mask
 
 
 def is_dominating(g: Graph, members: Iterable[int]) -> bool:
     """Every vertex outside the set has a neighbour inside it."""
-    d = _vertex_mask(g, members)
+    d = _member_mask(members, g.check_vertex)
     return all((g.vadj[v] | (1 << v)) & d for v in range(g.n))
 
 
 def is_total_dominating(g: Graph, members: Iterable[int]) -> bool:
     """Every vertex of the graph, inside or out, has a neighbour in the set."""
-    d = _vertex_mask(g, members)
+    d = _member_mask(members, g.check_vertex)
     return all(g.vadj[v] & d for v in range(g.n))
 
 
 def is_locating(g: Graph, members: Iterable[int]) -> bool:
     """Vertices outside the set have pairwise distinct neighbour traces on it."""
-    d = _vertex_mask(g, members)
+    d = _member_mask(members, g.check_vertex)
     sigs = sorted(g.vadj[v] & d for v in range(g.n) if not (d >> v) & 1)
     return all(a != b for a, b in zip(sigs, sigs[1:]))
 
 
 def is_edge_dominating(g: Graph, members: Iterable[int]) -> bool:
     """Every edge outside the set shares an endpoint with an edge inside it."""
-    d = _edge_mask(g, members)
+    d = _member_mask(members, g.check_edge)
     return all((g.eadj[e] | (1 << e)) & d for e in range(g.m))
 
 
 def is_edge_total_dominating(g: Graph, members: Iterable[int]) -> bool:
     """Every edge of the graph is adjacent to an edge of the set."""
-    d = _edge_mask(g, members)
+    d = _member_mask(members, g.check_edge)
     return all(g.eadj[e] & d for e in range(g.m))
 
 
 def is_edge_locating(g: Graph, members: Iterable[int]) -> bool:
     """Edges outside the set have pairwise distinct adjacency traces on it."""
-    d = _edge_mask(g, members)
+    d = _member_mask(members, g.check_edge)
     sigs = sorted(g.eadj[e] & d for e in range(g.m) if not (d >> e) & 1)
     return all(a != b for a, b in zip(sigs, sigs[1:]))
 
@@ -176,7 +165,7 @@ def is_weak_edge_locating(g: Graph, members: Iterable[int]) -> bool:
     location for them would make the parameter undefined on graphs that
     have twins; the weak variant exempts exactly those pairs.
     """
-    d = _edge_mask(g, members)
+    d = _member_mask(members, g.check_edge)
     twins = edge_twin_masks(g)
     entries = sorted(
         (g.eadj[e] & d, e) for e in range(g.m) if not (d >> e) & 1

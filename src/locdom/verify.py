@@ -38,7 +38,7 @@ from itertools import permutations
 from typing import Iterable, Iterator
 
 from .codec import write_graph6
-from .core import Graph, bits, is_connected
+from .core import Graph, bits, is_connected, masks_connected
 from .errors import LocdomError, SizeLimitError
 from .linegraph import line_graph
 from .solvers import Parameter, solve_min
@@ -96,20 +96,6 @@ def _pair_index(n: int) -> dict[tuple[int, int], int]:
     return {p: i for i, p in enumerate(_pair_table(n))}
 
 
-def _vadj_connected(vadj: list[int], n: int) -> bool:
-    if n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= vadj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
-
 def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
     """Yield every labeled graph on exactly spec.n vertices, filtered per spec.
 
@@ -138,7 +124,7 @@ def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
                 vadj[u] |= 1 << v
                 vadj[v] |= 1 << u
                 mm ^= lowbit
-            if not _vadj_connected(vadj, n):
+            if not masks_connected(vadj):
                 continue
         if shard_total > 1:
             position += 1
@@ -431,11 +417,3 @@ def iter_reports(
             summary.add(report)
         yield report
 
-
-def verify_theorem(
-    graphs: Iterable[Graph], theorem: str
-) -> tuple[list[BoundReport], TheoremSummary]:
-    """Materialised convenience wrapper around iter_reports."""
-    summary = TheoremSummary(theorem)
-    reports = list(iter_reports(graphs, theorem, summary))
-    return reports, summary

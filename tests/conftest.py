@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import networkx as nx
+
 from locdom import Graph
 
 # ---------------------------------------------------------------------------
@@ -109,6 +111,13 @@ def random_connected_graph(
         if (u, v) not in edges and rng.random() < extra_edge_chance:
             edges.add((u, v))
     return Graph(n, sorted(edges))
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    """The same graph as a networkx graph, isolated vertices included."""
+    gx = nx.empty_graph(g.n)
+    gx.add_edges_from(g.edges)
+    return gx
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:

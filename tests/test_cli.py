@@ -58,6 +58,43 @@ def test_solve_infeasible_exits_one(capsys, monkeypatch):
     assert "isolated_edge" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    (["solve", "--param", "dom"], ["verify", "--theorem", "weld_half"]),
+    ids=("solve", "verify"),
+)
+@pytest.mark.parametrize(
+    "kind, code, message",
+    (
+        ("missing", 2, "cannot read --in"),
+        ("directory", 2, "cannot read --in"),
+        ("non_utf8", 1, "error: non-ASCII character"),
+    ),
+    ids=("missing", "directory", "non_utf8"),
+)
+def test_unreadable_input_file_exits_without_traceback(tmp_path, command, kind, code, message):
+    # A path that cannot be read is a usage error; bytes that are not UTF-8
+    # reach the graph6 parser, which rejects them as bad characters.
+    paths = {
+        "missing": tmp_path / "absent.g6",
+        "directory": tmp_path,
+        "non_utf8": tmp_path / "bytes.g6",
+    }
+    paths["non_utf8"].write_bytes(b"\xff\xfe\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "locdom.cli", *command, "--in", str(paths[kind])],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == code
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_solve_unknown_parameter_is_usage_error(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--param", "gamma"])

@@ -25,7 +25,6 @@ from locdom import (
     report_lines,
     write_edgelist,
     write_graph6,
-    write_report,
 )
 from conftest import random_graph, random_graph_capped
 
@@ -187,11 +186,3 @@ def test_report_fractional_bound_serialisation():
     (line,) = report_lines([rep])
     assert '"bound": "10/3"' in line
     assert '"margin": "1/3"' in line
-
-
-def test_write_report_concatenates_with_newlines():
-    reps = [check_graph(C6, "weld_half"), check_graph(Graph(2, [(0, 1)]), "weld_half")]
-    text = write_report(reps)
-    assert text.count("\n") == 2
-    assert text.endswith("\n")
-    assert write_report([]) == ""

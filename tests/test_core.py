@@ -1,22 +1,23 @@
-"""Graph construction, neighborhoods, structural summary, edge deletion."""
+"""Graph construction, neighborhoods, connectivity."""
 
 import random
 
+import networkx as nx
 import pytest
 
 from locdom import (
     DuplicateEdgeError,
     EdgeRangeError,
+    EnumerationSpec,
     Graph,
     SelfLoopError,
     SizeLimitError,
     VertexRangeError,
     bits,
-    delete_edges,
+    enumerate_graphs,
     is_connected,
-    structural_summary,
 )
-from conftest import random_graph
+from conftest import random_graph, to_networkx
 
 
 def path(n):
@@ -130,87 +131,11 @@ def test_is_connected():
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
 
 
-def test_summary_of_cycle():
-    s = structural_summary(cycle(6))
-    assert s.degrees == (2,) * 6
-    assert s.components == (frozenset(range(6)),)
-    assert not s.has_isolated_vertex
-    assert s.isolated_edges == frozenset()
-    assert s.girth == 6
-    assert s.diameters == (3,)
-    assert s.is_connected
-    assert not s.is_forest
-    assert not s.is_tree
-
-
-def test_summary_of_path():
-    s = structural_summary(path(5))
-    assert s.degrees == (1, 2, 2, 2, 1)
-    assert s.girth is None
-    assert s.diameters == (4,)
-    assert s.is_connected and s.is_forest and s.is_tree
-
-
-def test_summary_of_single_edge():
-    s = structural_summary(Graph(2, [(0, 1)]))
-    assert s.isolated_edges == frozenset({0})
-    assert s.is_tree
-
-
-def test_summary_of_disconnected_graph():
-    s = structural_summary(Graph(3, [(1, 2)]))
-    assert s.components == (frozenset({0}), frozenset({1, 2}))
-    assert s.has_isolated_vertex
-    assert s.isolated_edges == frozenset({0})
-    assert s.diameters == (0, 1)
-    assert not s.is_connected
-    assert s.is_forest
-    assert not s.is_tree
-
-
-def test_girth_values():
-    assert structural_summary(complete(4)).girth == 3
-    assert structural_summary(cycle(4)).girth == 4
-    assert structural_summary(cycle(5)).girth == 5
-    paw = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-    assert structural_summary(paw).girth == 3
-    triangle_and_path = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (5, 6)])
-    assert structural_summary(triangle_and_path).girth == 3
-
-
-def test_summary_of_empty_graphs():
-    s = structural_summary(Graph(0))
-    assert s.is_connected and s.is_forest
-    assert s.diameters == ()
-    s1 = structural_summary(Graph(1))
-    assert s1.has_isolated_vertex
-    assert s1.is_tree
-    assert s1.diameters == (0,)
-
-
-def test_delete_edges_mapping():
-    g = cycle(4)
-    h, mapping = delete_edges(g, [1])
-    assert h.edges == ((0, 1), (1, 2), (2, 3))
-    assert mapping == {0: 0, 2: 1, 3: 2}
-    h2, mapping2 = delete_edges(g, [0, 3])
-    assert h2.edges == ((0, 3), (1, 2))
-    assert mapping2 == {1: 0, 2: 1}
-    with pytest.raises(EdgeRangeError):
-        delete_edges(g, [4])
-
-
-def test_delete_edges_preserves_relative_order():
-    rng = random.Random(7)
-    for _ in range(40):
-        g = random_graph(rng, rng.randrange(3, 9), 0.6)
-        if g.m == 0:
-            continue
-        drop = set(rng.sample(range(g.m), rng.randrange(1, g.m + 1)))
-        h, mapping = delete_edges(g, drop)
-        assert h.m == g.m - len(drop)
-        assert sorted(mapping) == sorted(set(range(g.m)) - drop)
-        ordered = sorted(mapping.items())
-        assert [new for _, new in ordered] == list(range(h.m))
-        for old, new in mapping.items():
-            assert h.edges[new] == g.edges[old]
+def test_is_connected_matches_networkx_on_every_small_labeled_graph():
+    for n in range(1, 6):
+        graphs = list(enumerate_graphs(EnumerationSpec(n, connected_only=False)))
+        assert len(graphs) == 1 << (n * (n - 1) // 2)
+        connected = [g for g in graphs if nx.is_connected(to_networkx(g))]
+        assert [g for g in graphs if is_connected(g)] == connected
+        # the enumerator's filter runs the same scan on raw masks
+        assert list(enumerate_graphs(EnumerationSpec(n))) == connected

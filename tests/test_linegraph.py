@@ -5,13 +5,11 @@ import random
 import pytest
 
 from locdom import (
-    EdgeRangeError,
     Graph,
     SizeLimitError,
     are_isomorphic,
     line_graph,
     solve_min,
-    transfer_edge_set,
     twin_report,
 )
 from conftest import random_graph
@@ -29,7 +27,6 @@ def test_line_of_path_is_shorter_path():
     lmap = line_graph(P4)
     assert lmap.base is P4
     assert lmap.line == Graph(3, [(0, 1), (1, 2)])
-    assert lmap.edge_to_vertex == (0, 1, 2)
 
 
 def test_line_of_cycle_is_cycle():
@@ -92,14 +89,6 @@ def test_edge_parameters_transfer_to_line_graph():
         assert solve_min(g, "eld").value == solve_min(line, "ld").value
         if all(mask for mask in g.eadj):
             assert solve_min(g, "eltd").value == solve_min(line, "ltd").value
-
-
-def test_transfer_edge_set():
-    lmap = line_graph(P4)
-    assert transfer_edge_set(lmap, [0, 2]) == frozenset({0, 2})
-    assert transfer_edge_set(lmap, []) == frozenset()
-    with pytest.raises(EdgeRangeError):
-        transfer_edge_set(lmap, [3])
 
 
 def test_size_caps():

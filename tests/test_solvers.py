@@ -75,8 +75,8 @@ def test_parameter_properties():
     assert not Parameter.DOM.locating
     assert Parameter.TOTAL_DOM.total and not Parameter.TOTAL_DOM.locating
     assert Parameter.WEAK_EDGE_LOC_DOM.on_edges and not Parameter.WEAK_EDGE_LOC_DOM.total
-    assert Parameter.LOC_DOM.short == "ld"
-    assert Parameter.WEAK_EDGE_LOC_DOM.short == "weld"
+    assert Parameter.LOC_DOM.value == "ld"
+    assert Parameter.WEAK_EDGE_LOC_DOM.value == "weld"
 
 
 def test_vertex_predicates_on_small_graphs():
@@ -147,7 +147,7 @@ def test_witnesses_are_lexicographically_least():
     assert solve_min(K4, "weld").witness == {0, 1}
     res = solve_min(C6, "eld")
     assert res.parameter is Parameter.EDGE_LOC_DOM
-    assert res.optimal
+    assert res.value == len(res.witness)
 
 
 def test_empty_and_edgeless_graphs():

@@ -25,9 +25,8 @@ from locdom import (
     iter_reports,
     named_graph,
     open_edge_twin_census,
+    report_lines,
     twin_report,
-    verify_theorem,
-    write_report,
 )
 from conftest import random_graph
 
@@ -291,12 +290,14 @@ def test_summary_registers_violations():
 
 def test_verify_theorem_small_sweep():
     graphs = list(enumerate_graphs(EnumerationSpec(n=4)))
-    reports, summary = verify_theorem(graphs, "weld_half")
+    summary = TheoremSummary("weld_half")
+    reports = list(iter_reports(graphs, "weld_half", summary))
     assert len(reports) == 38
     assert summary.checked == 38
     assert summary.skipped == {}
     assert summary.violations == []
-    reports2, summary2 = verify_theorem(graphs, "eld_half")
+    summary2 = TheoremSummary("eld_half")
+    list(iter_reports(graphs, "eld_half", summary2))
     assert summary2.checked == 0  # every connected 4-vertex graph has edge-twins
     assert summary2.skipped["not_edge_twin_free"] == 38
 
@@ -315,7 +316,7 @@ def test_iter_reports_streams_and_feeds_summary():
 def test_report_stream_is_deterministic():
     def run():
         graphs = enumerate_graphs(EnumerationSpec(n=4))
-        return write_report(iter_reports(graphs, "weld_half"))
+        return "".join(line + "\n" for line in report_lines(iter_reports(graphs, "weld_half")))
 
     first, second = run(), run()
     assert first == second
