@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
 from pathlib import Path
-from typing import Iterator
 
 from .codec import (
     _is_int,
@@ -38,7 +36,7 @@ from .verify import (
     THEOREMS,
     EnumerationSpec,
     TheoremSummary,
-    enumerate_graphs,
+    enumerated_reports,
     iter_reports,
 )
 
@@ -46,11 +44,15 @@ from .verify import (
 def _read_text(args: argparse.Namespace) -> str:
     """stdin, or the --in file; an unreadable path is a usage error.
 
-    Undecodable bytes become lone surrogates, which the parsers reject as
-    bad characters.
+    Both are read as UTF-8, whatever the interpreter's own error handler:
+    undecodable bytes become lone surrogates, which the parsers reject as
+    bad characters.  A text stream without a byte buffer is read as it is.
     """
     if args.infile is None:
-        return sys.stdin.read()
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is None:
+            return sys.stdin.read()
+        return buffer.read().decode("utf-8", errors="surrogateescape")
     try:
         return Path(args.infile).read_text(encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
@@ -128,25 +130,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _enumerated(args: argparse.Namespace) -> Iterator[Graph]:
-    return chain.from_iterable(
-        enumerate_graphs(
-            EnumerationSpec(
-                n=n,
-                connected_only=not args.include_disconnected,
-                shard=args.shard,
-            )
-        )
-        for n in range(1, args.max_n + 1)
-    )
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.infile is not None and args.shard != (0, 1):
         args.parser.error("--shard applies to internal enumeration, not --in files")
     summary = TheoremSummary(args.theorem)
-    graphs = _input_graphs(args) if args.infile is not None else _enumerated(args)
-    for line in report_lines(iter_reports(graphs, args.theorem, summary)):
+    if args.infile is not None:
+        reports = iter_reports(_input_graphs(args), args.theorem, summary)
+    else:
+        specs = [
+            EnumerationSpec(n, connected_only=not args.include_disconnected, shard=args.shard)
+            for n in range(1, args.max_n + 1)
+        ]
+        reports = enumerated_reports(specs, args.theorem, summary)
+    for line in report_lines(reports):
         print(line)
     print(summary.to_json())
     return 3 if summary.violations else 0

@@ -13,6 +13,7 @@ output can be streamed, diffed bytewise, and split across shards.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import Graph
@@ -80,11 +81,43 @@ def write_graph6(g: Graph) -> str:
         for i in range(j):
             x = (x << 1) | ((col >> i) & 1)
     x <<= (-nbits) % 6
-    nbytes = (nbits + 5) // 6
-    out = [chr(63 + n)]
-    for k in range(nbytes - 1, -1, -1):
-        out.append(chr(63 + ((x >> (6 * k)) & 63)))
-    return "".join(out)
+    return _pack_graph6(n, x)
+
+
+def mask_graph6(n: int, mask: int) -> str:
+    """graph6 of the graph whose edges are the set bits of mask, bit k
+    standing for the k-th vertex pair (u, v), u < v, in lexicographic order.
+
+    Lets a caller that holds only an edge mask skip building a Graph.
+    """
+    x = 0
+    for table in _graph6_tables(n):
+        x |= table[mask & 255]
+        mask >>= 8
+    return _pack_graph6(n, x)
+
+
+@lru_cache(maxsize=None)
+def _graph6_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per byte of an edge mask, the padded graph6 payload bits of its 256 values."""
+    nbits = n * (n - 1) // 2
+    top = 6 * ((nbits + 5) // 6) - 1
+    slots = [1 << (top - (v * (v - 1) // 2 + u)) for u in range(n) for v in range(u + 1, n)]
+    return tuple(
+        tuple(
+            sum(slot for k, slot in enumerate(slots[low:low + 8]) if value >> k & 1)
+            for value in range(256)
+        )
+        for low in range(0, nbits, 8)
+    )
+
+
+def _pack_graph6(n: int, x: int) -> str:
+    """The order byte, then x read big-endian in 6-bit groups, each offset by 63."""
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    return chr(63 + n) + "".join(
+        [chr(63 + ((x >> (6 * k)) & 63)) for k in range(nbytes - 1, -1, -1)]
+    )
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -8,8 +8,9 @@ used as bitsets: neighbour mask per vertex, incident-edge mask per vertex,
 and adjacent-edge mask per edge.  Feasibility loops elsewhere then reduce to
 integer AND/OR, which is what keeps exhaustive runs affordable.
 
-Caps: at most 64 vertices and 128 edges.  Beyond that the bitset tricks stop
-paying for themselves and exact solving is hopeless anyway.
+No size caps: Python ints are unbounded, so a graph of any order or size
+fits the bitsets; exact solving, not the representation, is what limits
+the practical size.
 """
 
 from __future__ import annotations
@@ -20,12 +21,8 @@ from .errors import (
     DuplicateEdgeError,
     EdgeRangeError,
     SelfLoopError,
-    SizeLimitError,
     VertexRangeError,
 )
-
-MAX_VERTICES = 64
-MAX_EDGES = 128
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -44,8 +41,6 @@ class Graph:
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise VertexRangeError(f"vertex count must be non-negative, got {n}")
-        if n > MAX_VERTICES:
-            raise SizeLimitError(f"at most {MAX_VERTICES} vertices supported, got {n}")
         seen: set[tuple[int, int]] = set()
         norm: list[tuple[int, int]] = []
         for u, v in pairs:
@@ -58,8 +53,6 @@ class Graph:
                 raise DuplicateEdgeError(f"duplicate edge {e}")
             seen.add(e)
             norm.append(e)
-        if len(norm) > MAX_EDGES:
-            raise SizeLimitError(f"at most {MAX_EDGES} edges supported, got {len(norm)}")
         norm.sort()
         self._fill(n, tuple(norm))
 

@@ -22,7 +22,7 @@ class EdgeRangeError(LocdomError):
 
 
 class SizeLimitError(LocdomError):
-    """The graph exceeds the supported bitset size caps."""
+    """The request exceeds a supported range: exhaustive enumeration or graph6 short form."""
 
 
 class CodecError(LocdomError):

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MAX_EDGES, MAX_VERTICES, Graph, bits
-from .errors import SizeLimitError
+from .core import Graph, bits
 
 
 @dataclass(frozen=True)
@@ -21,20 +20,12 @@ class LineGraphMap:
 
 
 def line_graph(g: Graph) -> LineGraphMap:
-    """Build L(g): one vertex per edge, adjacent when the edges share an end.
-
-    Raises SizeLimitError when L(g) overflows the vertex or edge caps
-    (dense bases blow up quadratically).
-    """
-    if g.m > MAX_VERTICES:
-        raise SizeLimitError(f"line graph would have {g.m} vertices, cap is {MAX_VERTICES}")
+    """Build L(g): one vertex per edge, adjacent when the edges share an end."""
     pairs = []
     for i in range(g.m):
         higher = g.eadj[i] >> (i + 1)
         for off in bits(higher):
             pairs.append((i, i + 1 + off))
-    if len(pairs) > MAX_EDGES:
-        raise SizeLimitError(f"line graph would have {len(pairs)} edges, cap is {MAX_EDGES}")
     line = Graph._from_canonical(g.m, tuple(pairs))
     return LineGraphMap(base=g, line=line)
 

@@ -126,7 +126,7 @@ def random_tree(rng: random.Random, n: int) -> Graph:
 
 
 def random_graph_capped(rng: random.Random, n: int, max_m: int = 128) -> Graph:
-    """Uniform edge sample that respects the package's 128-edge cap."""
+    """Uniform edge sample of at most max_m edges, so codec tests stay small."""
     pairs = list(combinations(range(n), 2))
     m = rng.randrange(0, min(len(pairs), max_m) + 1)
     return Graph(n, rng.sample(pairs, m))

@@ -6,11 +6,24 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-from locdom import BoundCheck, BoundReport, named_graph, spider_weld_tree, write_graph6
+from locdom import (
+    THEOREMS,
+    BoundCheck,
+    BoundReport,
+    EnumerationSpec,
+    TheoremSummary,
+    enumerate_graphs,
+    iter_reports,
+    named_graph,
+    report_lines,
+    spider_weld_tree,
+    write_graph6,
+)
 from locdom.cli import main
 
 
@@ -93,6 +106,22 @@ def test_unreadable_input_file_exits_without_traceback(tmp_path, command, kind, 
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_undecodable_stdin_exits_without_traceback():
+    # Under a strict stdin error handler the bytes still reach the parser.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "locdom.cli", "solve", "--param", "dom"],
+        input=b"\xff\xfe\n",
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8:strict"},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert b"error: non-ASCII character" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
 
 
 def test_solve_unknown_parameter_is_usage_error(capsys, monkeypatch):
@@ -208,6 +237,25 @@ def test_verify_shards_partition(capsys, monkeypatch):
     assert summary0["checked"] + summary1["checked"] == whole_summary["checked"]
 
 
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_verify_enumeration_matches_per_graph_reports(theorem, capsys, monkeypatch):
+    # The CLI solves each isomorphism class once; the per-graph path is the oracle.
+    for disconnected in (False, True):
+        for shard in ((0, 1), (0, 3), (1, 3), (2, 3)):
+            argv = ["verify", "--theorem", theorem, "--max-n", "5", "--shard", "%d/%d" % shard]
+            if disconnected:
+                argv.append("--include-disconnected")
+            rc, out, _ = run_cli(capsys, monkeypatch, argv)
+            summary = TheoremSummary(theorem)
+            graphs = chain.from_iterable(
+                enumerate_graphs(EnumerationSpec(n, not disconnected, shard=shard))
+                for n in range(1, 6)
+            )
+            want = [*report_lines(iter_reports(graphs, theorem, summary)), summary.to_json()]
+            assert out == "".join(line + "\n" for line in want), (theorem, disconnected, shard)
+            assert rc == 0
+
+
 def test_verify_usage_errors(tmp_path, capsys, monkeypatch):
     path = tmp_path / "graphs.g6"
     path.write_text("EhEG\n")
@@ -236,12 +284,12 @@ def test_verify_exit_three_on_violation(capsys, monkeypatch):
         skipped_reason=None,
     )
 
-    def fake_iter(graphs, theorem, summary=None):
+    def fake_reports(specs, theorem, summary=None):
         if summary is not None:
             summary.add(fake_report)
         yield fake_report
 
-    monkeypatch.setattr("locdom.cli.iter_reports", fake_iter)
+    monkeypatch.setattr("locdom.cli.enumerated_reports", fake_reports)
     rc, out, _ = run_cli(capsys, monkeypatch, ["verify", "--theorem", "weld_half", "--max-n", "1"])
     assert rc == 3
     lines = out.splitlines()

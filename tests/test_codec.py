@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -26,6 +27,7 @@ from locdom import (
     write_edgelist,
     write_graph6,
 )
+from locdom.codec import mask_graph6
 from conftest import random_graph, random_graph_capped
 
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -100,6 +102,17 @@ def test_roundtrip_against_networkx():
         assert back == g
         from_theirs = nx.from_graph6_bytes(mine.encode())
         assert sorted(from_theirs.edges()) == list(g.edges)
+
+
+def test_mask_graph6_against_networkx():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randrange(0, 21)
+        pairs = list(combinations(range(n), 2))
+        mask = rng.getrandbits(len(pairs))
+        gx = nx.empty_graph(n)
+        gx.add_edges_from(p for k, p in enumerate(pairs) if mask >> k & 1)
+        assert mask_graph6(n, mask) == nx.to_graph6_bytes(gx, header=False).decode().strip()
 
 
 def test_edgelist_roundtrip():

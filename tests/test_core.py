@@ -11,7 +11,6 @@ from locdom import (
     EnumerationSpec,
     Graph,
     SelfLoopError,
-    SizeLimitError,
     VertexRangeError,
     bits,
     enumerate_graphs,
@@ -63,10 +62,6 @@ def test_construction_errors():
         Graph(3, [(-1, 0)])
     with pytest.raises(VertexRangeError):
         Graph(-1)
-    with pytest.raises(SizeLimitError):
-        Graph(65)
-    with pytest.raises(SizeLimitError):
-        complete(17)  # 136 edges
 
 
 def test_index_lookup_errors():

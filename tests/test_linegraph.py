@@ -2,11 +2,8 @@
 
 import random
 
-import pytest
-
 from locdom import (
     Graph,
-    SizeLimitError,
     are_isomorphic,
     line_graph,
     solve_min,
@@ -92,7 +89,7 @@ def test_edge_parameters_transfer_to_line_graph():
 
 
 def test_size_caps():
-    with pytest.raises(SizeLimitError):
-        line_graph(complete(12))  # 66 edges > 64 line vertices
-    with pytest.raises(SizeLimitError):
-        line_graph(Graph(18, [(0, v) for v in range(1, 18)]))  # 136 line edges
+    # There are none: line graphs past the old 64-vertex and 128-edge caps build.
+    line = line_graph(complete(12)).line
+    assert (line.n, line.m) == (66, 66 * 20 // 2)
+    assert line_graph(Graph(18, [(0, v) for v in range(1, 18)])).line == complete(17)

@@ -28,6 +28,7 @@ from locdom import (
     report_lines,
     twin_report,
 )
+from locdom.verify import _classified, _relabelings
 from conftest import random_graph
 
 # labeled graph counts on n vertices: all, and connected
@@ -131,6 +132,32 @@ def test_dedup_keeps_first_mask_per_class():
                     dedup = EnumerationSpec(n, connected_only, True, (i, total))
                     want = [g.edges for g in _first_per_class(enumerate_graphs(spec))]
                     assert [g.edges for g in enumerate_graphs(dedup)] == want
+
+
+def test_relabelings_walk_every_permutation_once():
+    rng = random.Random(7)
+    for n in range(0, 7):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for _ in range(5):
+            mask = rng.getrandbits(len(pairs))
+            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            want = sorted(
+                sum(1 << pairs.index(tuple(sorted((perm[u], perm[v])))) for u, v in edges)
+                for perm in permutations(range(n))
+            )
+            assert sorted(_relabelings(mask, n)) == want
+
+
+def test_class_index_is_the_isomorphism_class():
+    # Two masks share a class index exactly when their canonical forms agree.
+    for n in range(0, 6):
+        spec = EnumerationSpec(n, connected_only=False)
+        form_of_class, class_of_form = {}, {}
+        for (c, _), g in zip(_classified(spec), enumerate_graphs(spec), strict=True):
+            form = canonical_form(g)
+            assert form_of_class.setdefault(c, form) == form
+            assert class_of_form.setdefault(form, c) == c
+        assert len(form_of_class) == UNLABELED_ALL.get(n, 1)
 
 
 def test_dedup_matches_graph_atlas_at_six_vertices():
@@ -245,6 +272,22 @@ def test_check_graph_records():
 
     with pytest.raises(LocdomError):
         check_graph(c6, "no_such_theorem")
+
+
+@pytest.mark.parametrize("name", ("K8", "K9"))
+def test_every_theorem_reports_on_large_complete_graphs(name):
+    # L(K8) has 168 edges and L(K9) 36 vertices: past the size caps that once
+    # stopped the line-graph corollaries.
+    g = named_graph(name)
+    for theorem in THEOREMS:
+        rep = check_graph(g, theorem)
+        assert (rep.n, rep.m) == (g.n, g.m)
+        if theorem == "size6_eld3":
+            assert rep.skipped_reason == "size_mismatch"
+        else:
+            assert rep.skipped_reason is None and all(chk.holds for chk in rep.checks)
+    assert check_graph(g, "cor_ld_line").checks[0].value == 6
+    assert check_graph(g, "cor_ltd_line").checks[0].value == 6
 
 
 def test_check_graph_line_corollaries():
