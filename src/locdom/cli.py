@@ -7,13 +7,15 @@ catalogue generators), verify (the exhaustive bound harness), encode
 names a file, so subcommands compose in shell pipelines.
 
 Exit status: 0 success, 1 domain errors (with the violated precondition
-named on stderr), 2 usage errors, 3 when verify found violations.
+named on stderr) or a closed stdout, 2 usage errors, 3 when verify found
+violations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -149,11 +151,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    text = _read_text(args)
     if args.source == "graph6":
-        graphs = [parse_graph6(line) for line in text.splitlines() if line.strip()]
+        graphs = _input_graphs(args)
     else:
-        graphs = _parse_edgelist_stream(text)
+        graphs = _parse_edgelist_stream(_read_text(args))
     for g in graphs:
         if args.target == "graph6":
             print(write_graph6(g))
@@ -267,9 +268,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows up here, not at exit
+        return status
     except LocdomError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so the flush of what
+        # is still buffered, at interpreter exit, stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -156,33 +156,22 @@ def write_edgelist(g: Graph) -> str:
 
 
 def report_lines(reports: Iterable["BoundReport"]) -> Iterator[str]:
-    """One JSON object per bound check, or one skip object per skipped graph.
+    """One JSON object per report: its bound check, or its skip reason.
 
     Key order is fixed (graph6, n, m, then the verdict fields) so equal runs
     produce bytewise equal output.  `bound` and `margin` are exact rationals
     written as strings, such as "10/3", "3" or "-1/3".
     """
     for rep in reports:
-        if rep.skipped_reason is not None:
-            yield json.dumps(
-                {
-                    "graph6": rep.graph6,
-                    "n": rep.n,
-                    "m": rep.m,
-                    "skipped_reason": rep.skipped_reason,
-                }
+        record = {"graph6": rep.graph6, "n": rep.n, "m": rep.m}
+        chk = rep.check
+        if chk is None:
+            record["skipped_reason"] = rep.skipped_reason
+        else:
+            record.update(
+                param=chk.parameter,
+                value=chk.value,
+                bound=str(chk.bound),
+                margin=str(chk.bound - chk.value),
             )
-            continue
-        for chk in rep.checks:
-            yield json.dumps(
-                {
-                    "graph6": rep.graph6,
-                    "n": rep.n,
-                    "m": rep.m,
-                    "param": chk.parameter,
-                    "value": chk.value,
-                    "bound": str(chk.bound),
-                    "margin": str(chk.bound - chk.value),
-                }
-            )
-
+        yield json.dumps(record)

@@ -34,14 +34,6 @@ class TwinReport:
     open_edge_pairs: tuple[tuple[int, int], ...]
     closed_edge_pairs: tuple[tuple[int, int], ...]
 
-    @property
-    def has_vertex_twins(self) -> bool:
-        return bool(self.open_vertex_pairs or self.closed_vertex_pairs)
-
-    @property
-    def has_edge_twins(self) -> bool:
-        return bool(self.open_edge_pairs or self.closed_edge_pairs)
-
 
 def twin_report(g: Graph) -> TwinReport:
     """Classify every twin pair of g at both the vertex and the edge level."""
@@ -77,13 +69,7 @@ def is_twin_free(g: Graph) -> bool:
 
 def is_edge_twin_free(g: Graph) -> bool:
     """True when no two edges are open or closed edge-twins."""
-    for i in range(g.m):
-        for j in range(i + 1, g.m):
-            if g.eadj[i] == g.eadj[j]:
-                return False
-            if g.eadj[i] | (1 << i) == g.eadj[j] | (1 << j):
-                return False
-    return True
+    return not any(edge_twin_masks(g))
 
 
 def edge_twin_masks(g: Graph) -> tuple[int, ...]:

@@ -23,12 +23,16 @@ their graph6 straight from the mask.  That is sound only because the
 verdict of every registered theorem (n, m, skip reason, value, bound and
 holds) is an isomorphism invariant; a theorem added here must keep it so.
 
-Each named check takes one graph to a report: either a skip record naming
-the failed precondition, or one value/bound/holds record per asserted
-inequality.  Violations are data, not exceptions.  A violation of any of
-the registered bounds would falsify published mathematics, so the harness
-treats them as reportable events and the callers decide how loudly to
-fail.
+Every registered theorem has one shape, so `_THEOREMS` declares each as
+one row: under ordered preconditions (each a skip reason and the test that
+fails a graph), a value -- solve_min on G or on L(G), or the number of
+check_observation1 violations -- is at most a fixed share of n or of m, or
+equal to it.  `check_graph` evaluates a row on one graph and gives one
+record: a skip naming the first failed precondition, or one
+value/bound/holds check.  Violations are data, not exceptions.  A violation
+of any registered bound would falsify published mathematics, so the
+harness treats them as reportable events and the callers decide how
+loudly to fail.
 
 The open-edge-twin census inverts the quantifier instead of scanning every
 graph: a pair of disjoint edge slots of K_n is an open twin pair exactly
@@ -46,28 +50,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .codec import mask_graph6, write_graph6
 from .core import Graph, bits, is_connected, masks_connected
 from .errors import LocdomError, SizeLimitError
 from .linegraph import line_graph
-from .solvers import Parameter, solve_min
+from .solvers import solve_min
 from .twins import check_observation1, is_edge_twin_free
 
 MAX_ENUM_VERTICES = 8
-
-THEOREMS = (
-    "weld_half",
-    "eld_half",
-    "eltd_two_thirds",
-    "cor_ld_line",
-    "cor_ltd_line",
-    "obs1",
-    "ore_half",
-    "cockayne_two_thirds",
-    "size6_eld3",
-)
 
 SKIP_REASONS = (
     "isolated_edge",
@@ -155,13 +147,9 @@ def _relabelings(mask: int, n: int) -> Iterator[int]:
 
 
 def _classified(spec: EnumerationSpec) -> Iterator[tuple[int, int]]:
-    """Yield (class index, mask) for each mask that spec enumerates, in scan order.
-
-    Class indices count from 1 in order of first appearance.  Shard (i, t)
-    keeps the masks at positions i, i + t, i + 2t, ... of the stream that
-    passes the connectivity filter; with dedup only the first of each
-    class within the shard is kept.
-    """
+    """Yield (class index, mask) for each mask that spec enumerates, in scan
+    order (sharding and dedup as in enumerate_graphs).  Class indices count
+    from 1 in order of first appearance."""
     n = spec.n
     size = 1 << len(_pair_table(n))
     classes = array("H", bytes(2 * size))
@@ -216,14 +204,6 @@ def canonical_form(g: Graph) -> int:
     return min(_relabelings(sum(1 << index[e] for e in g.edges), g.n))
 
 
-def are_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.m != b.m:
-        return False
-    if sorted(x.bit_count() for x in a.vadj) != sorted(x.bit_count() for x in b.vadj):
-        return False
-    return canonical_form(a) == canonical_form(b)
-
-
 def graphs_with_open_edge_twins(n: int, connected_only: bool = True) -> list[Graph]:
     """Every labeled graph on n vertices containing an open edge-twin pair.
 
@@ -261,7 +241,7 @@ def graphs_with_open_edge_twins(n: int, connected_only: bool = True) -> list[Gra
                 sub = (sub - 1) & free
     out = []
     for mask in sorted(hits):
-        g = Graph._from_canonical(n, tuple(pairs[i] for i in bits(mask)))
+        g = _mask_graph(n, mask)
         if connected_only and not is_connected(g):
             continue
         out.append(g)
@@ -294,134 +274,99 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One graph's verdict: a check, or the reason the theorem skipped it."""
+
     graph6: str
     n: int
     m: int
-    checks: tuple[BoundCheck, ...]
+    check: BoundCheck | None
     skipped_reason: str | None
 
-
-def _has_isolated_edge(g: Graph) -> bool:
-    return any(adj == 0 for adj in g.eadj)
-
-
-def _has_isolated_vertex(g: Graph) -> bool:
-    return any(adj == 0 for adj in g.vadj)
+    @property
+    def checks(self) -> tuple[BoundCheck, ...]:
+        """The check as a tuple of zero or one; `perfbench/workloads.py` reads it."""
+        return () if self.check is None else (self.check,)
 
 
-def _weld_half(g: Graph):
-    if _has_isolated_edge(g):
-        return [], "isolated_edge"
-    value = solve_min(g, Parameter.WEAK_EDGE_LOC_DOM).value
-    return [BoundCheck("weld", value, Fraction(g.m, 2), 2 * value <= g.m)], None
+# A precondition is (skip reason, test that fails the graph).  Tests and
+# values look solve_min, line_graph and the scans up in this module's
+# globals on every call, so wrappers installed from outside see them.
+_ISOLATED_EDGE = ("isolated_edge", lambda g: any(adj == 0 for adj in g.eadj))
+_EDGE_TWINS = ("not_edge_twin_free", lambda g: not is_edge_twin_free(g))
+_DISCONNECTED = ("disconnected", lambda g: not is_connected(g))
+# Also the line-graph corollaries' preconditions: L(g) is twin-free without
+# isolated vertices exactly when g is edge-twin-free without isolated edges.
+_EDGE_TWIN_FREE = (_ISOLATED_EDGE, _EDGE_TWINS)
 
 
-def _eld_half(g: Graph):
-    if _has_isolated_edge(g):
-        return [], "isolated_edge"
-    if not is_edge_twin_free(g):
-        return [], "not_edge_twin_free"
-    value = solve_min(g, Parameter.EDGE_LOC_DOM).value
-    return [BoundCheck("eld", value, Fraction(g.m, 2), 2 * value <= g.m)], None
+def _solve(g: Graph, parameter: str) -> int:
+    return solve_min(g, parameter).value
 
 
-def _eltd_two_thirds(g: Graph):
-    if _has_isolated_edge(g):
-        return [], "isolated_edge"
-    if not is_edge_twin_free(g):
-        return [], "not_edge_twin_free"
-    value = solve_min(g, Parameter.EDGE_LOC_TOTAL_DOM).value
-    return [BoundCheck("eltd", value, Fraction(2 * g.m, 3), 3 * value <= 2 * g.m)], None
+def _solve_line(g: Graph, parameter: str) -> int:
+    return solve_min(line_graph(g).line, parameter).value
 
 
-def _cor_ld_line(g: Graph):
-    # L(g) is twin-free without isolated vertices exactly when g is
-    # edge-twin-free without isolated edges, so the preconditions are
-    # evaluated on the base graph.
-    if _has_isolated_edge(g):
-        return [], "isolated_edge"
-    if not is_edge_twin_free(g):
-        return [], "not_edge_twin_free"
-    line = line_graph(g).line
-    value = solve_min(line, Parameter.LOC_DOM).value
-    return [BoundCheck("ld", value, Fraction(line.n, 2), 2 * value <= line.n)], None
+@dataclass(frozen=True)
+class _Theorem:
+    """value(g, parameter) <= share * (m if of_edges else n), or == when exact,
+    on every graph that passes the preconditions in order."""
+
+    preconditions: tuple[tuple[str, Callable[[Graph], bool]], ...]
+    parameter: str
+    value: Callable[[Graph, str], int]
+    share: Fraction
+    of_edges: bool
+    exact: bool = False
 
 
-def _cor_ltd_line(g: Graph):
-    if _has_isolated_edge(g):
-        return [], "isolated_edge"
-    if not is_edge_twin_free(g):
-        return [], "not_edge_twin_free"
-    line = line_graph(g).line
-    value = solve_min(line, Parameter.LOC_TOTAL_DOM).value
-    return [BoundCheck("ltd", value, Fraction(2 * line.n, 3), 3 * value <= 2 * line.n)], None
-
-
-def _obs1(g: Graph):
-    if not is_connected(g):
-        return [], "disconnected"
-    violations = check_observation1(g)
-    return [BoundCheck("obs1", len(violations), Fraction(0), not violations)], None
-
-
-def _ore_half(g: Graph):
-    if _has_isolated_vertex(g):
-        return [], "isolated_vertex"
-    value = solve_min(g, Parameter.DOM).value
-    return [BoundCheck("dom", value, Fraction(g.n, 2), 2 * value <= g.n)], None
-
-
-def _cockayne_two_thirds(g: Graph):
-    # Stated for connected graphs of order at least 3; the two tiny
-    # connected graphs are skipped under the reason that names their shape.
-    if not is_connected(g):
-        return [], "disconnected"
-    if g.n <= 1:
-        return [], "isolated_vertex"
-    if g.n == 2:
-        return [], "isolated_edge"
-    value = solve_min(g, Parameter.TOTAL_DOM).value
-    return [BoundCheck("tdom", value, Fraction(2 * g.n, 3), 3 * value <= 2 * g.n)], None
-
-
-def _size6_eld3(g: Graph):
-    if g.m != 6:
-        return [], "size_mismatch"
-    if not is_connected(g):
-        return [], "disconnected"
-    if _has_isolated_edge(g):
-        return [], "isolated_edge"
-    if not is_edge_twin_free(g):
-        return [], "not_edge_twin_free"
-    value = solve_min(g, Parameter.EDGE_LOC_DOM).value
-    return [BoundCheck("eld", value, Fraction(3), value == 3)], None
-
+_HALF, _TWO_THIRDS = Fraction(1, 2), Fraction(2, 3)
 
 _THEOREMS = {
-    "weld_half": _weld_half,
-    "eld_half": _eld_half,
-    "eltd_two_thirds": _eltd_two_thirds,
-    "cor_ld_line": _cor_ld_line,
-    "cor_ltd_line": _cor_ltd_line,
-    "obs1": _obs1,
-    "ore_half": _ore_half,
-    "cockayne_two_thirds": _cockayne_two_thirds,
-    "size6_eld3": _size6_eld3,
+    "weld_half": _Theorem((_ISOLATED_EDGE,), "weld", _solve, _HALF, True),
+    "eld_half": _Theorem(_EDGE_TWIN_FREE, "eld", _solve, _HALF, True),
+    "eltd_two_thirds": _Theorem(_EDGE_TWIN_FREE, "eltd", _solve, _TWO_THIRDS, True),
+    # L(g) has m vertices
+    "cor_ld_line": _Theorem(_EDGE_TWIN_FREE, "ld", _solve_line, _HALF, True),
+    "cor_ltd_line": _Theorem(_EDGE_TWIN_FREE, "ltd", _solve_line, _TWO_THIRDS, True),
+    "obs1": _Theorem(
+        (_DISCONNECTED,), "obs1", lambda g, _: len(check_observation1(g)), Fraction(0), False
+    ),
+    # ore_half reports dom = 0 <= 0 on the empty graph; cockayne_two_thirds
+    # needs order at least 3 and skips K1 and K2 under the reason naming them.
+    "ore_half": _Theorem(
+        (("isolated_vertex", lambda g: any(adj == 0 for adj in g.vadj)),),
+        "dom", _solve, _HALF, False,
+    ),
+    "cockayne_two_thirds": _Theorem(
+        (_DISCONNECTED, ("isolated_vertex", lambda g: g.n <= 1), _ISOLATED_EDGE),
+        "tdom", _solve, _TWO_THIRDS, False,
+    ),
+    "size6_eld3": _Theorem(
+        (("size_mismatch", lambda g: g.m != 6), _DISCONNECTED, *_EDGE_TWIN_FREE),
+        "eld", _solve, _HALF, True, exact=True,
+    ),
 }
+
+THEOREMS = tuple(_THEOREMS)
 
 
 def check_graph(g: Graph, theorem: str) -> BoundReport:
     """Evaluate one named bound on one graph; skips are reported, not raised."""
     try:
-        fn = _THEOREMS[theorem]
+        row = _THEOREMS[theorem]
     except KeyError:
         raise LocdomError(
             f"unknown theorem {theorem!r}; expected one of {list(THEOREMS)}"
         ) from None
-    checks, skip = fn(g)
-    return BoundReport(
-        graph6=write_graph6(g), n=g.n, m=g.m, checks=tuple(checks), skipped_reason=skip
-    )
+    skip = next((reason for reason, fails in row.preconditions if fails(g)), None)
+    check = None
+    if skip is None:
+        value = row.value(g, row.parameter)
+        bound = row.share * (g.m if row.of_edges else g.n)
+        holds = value == bound if row.exact else value <= bound
+        check = BoundCheck(row.parameter, value, bound, holds)
+    return BoundReport(write_graph6(g), g.n, g.m, check, skip)
 
 
 @dataclass
@@ -438,7 +383,7 @@ class TheoremSummary:
             self.skipped[report.skipped_reason] += 1
             return
         self.checked += 1
-        if any(not chk.holds for chk in report.checks):
+        if not report.check.holds:
             self.violations.append(report.graph6)
 
     def to_json(self) -> str:
@@ -469,17 +414,17 @@ def enumerated_reports(
     """The reports of iter_reports over enumerate_graphs(spec) for each spec in turn,
     with check_graph run once per isomorphism class.
 
-    Later members of a class reuse the first member's checks and skip
-    reason, and their graph6 is written straight from the mask, so no
-    Graph is built for them.
+    Later members of a class reuse the first member's verdict, its check or
+    its skip reason, and their graph6 is written straight from the mask, so
+    no Graph is built for them.
     """
     for spec in specs:
-        verdicts: dict[int, tuple[tuple[BoundCheck, ...], str | None]] = {}
+        verdicts: dict[int, tuple[BoundCheck | None, str | None]] = {}
         for c, mask in _classified(spec):
             verdict = verdicts.get(c)
             if verdict is None:
                 report = check_graph(_mask_graph(spec.n, mask), theorem)
-                verdicts[c] = report.checks, report.skipped_reason
+                verdicts[c] = report.check, report.skipped_reason
             else:
                 report = BoundReport(
                     mask_graph6(spec.n, mask), spec.n, mask.bit_count(), *verdict

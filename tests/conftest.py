@@ -120,6 +120,11 @@ def to_networkx(g: Graph) -> nx.Graph:
     return gx
 
 
+def nx_isomorphic(a: Graph, b: Graph) -> bool:
+    """Isomorphism as networkx decides it, independent of canonical_form."""
+    return nx.is_isomorphic(to_networkx(a), to_networkx(b))
+
+
 def random_tree(rng: random.Random, n: int) -> Graph:
     edges = [(rng.randrange(v), v) for v in range(1, n)]
     return Graph(n, edges)

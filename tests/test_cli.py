@@ -1,5 +1,6 @@
 """End-to-end coverage of every subcommand and exit code."""
 
+import hashlib
 import io
 import json
 import os
@@ -275,12 +276,51 @@ def test_verify_usage_errors(tmp_path, capsys, monkeypatch):
         assert exc.value.code == 2
 
 
+# sha256 of the concatenated stdout of `verify --theorem T ...` over THEOREMS
+# in order, recorded before the theorems were declared as one table.
+PINNED_MAX_N_5 = "0c223955c79b98448174770cc29d121cb26e6f9d2861406a5ba2a3471391a6ed"
+PINNED_IN_FILE = "9bf459c351ea8bfef8d5c8ba7c49eae3d6709ff46369a59849d4d44cf110f031"
+
+
+def test_verify_output_of_every_theorem_is_pinned(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "graphs.g6"
+    path.write_text("?\n@\nA?\nA_\nBw\nEhEG\nDQo\nG~~~~{\n")
+    runs = ((["--max-n", "5"], PINNED_MAX_N_5), (["--in", str(path)], PINNED_IN_FILE))
+    for options, pinned in runs:
+        outs = []
+        for theorem in THEOREMS:
+            rc, out, _ = run_cli(capsys, monkeypatch, ["verify", "--theorem", theorem, *options])
+            assert rc == 0
+            outs.append(out)
+        assert hashlib.sha256("".join(outs).encode()).hexdigest() == pinned, options
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    err_path = tmp_path / "stderr"
+    with open(err_path, "wb") as err:
+        # --max-n 6 writes about 3 MB, far more than a pipe buffers
+        argv = ["verify", "--theorem", "weld_half", "--max-n", "6"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "locdom.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        rc = proc.wait(timeout=120)
+    assert json.loads(first)["graph6"] == "@"
+    assert rc == 1
+    assert err_path.read_bytes() == b""  # no traceback, no "Exception ignored"
+
+
 def test_verify_exit_three_on_violation(capsys, monkeypatch):
     fake_report = BoundReport(
         graph6="FAKE",
         n=5,
         m=5,
-        checks=(BoundCheck("weld", 9, Fraction(5, 2), False),),
+        check=BoundCheck("weld", 9, Fraction(5, 2), False),
         skipped_reason=None,
     )
 

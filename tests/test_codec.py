@@ -195,7 +195,7 @@ def test_report_skip_line_format():
 
 def test_report_fractional_bound_serialisation():
     chk = BoundCheck(parameter="eltd", value=3, bound=Fraction(10, 3), holds=True)
-    rep = BoundReport(graph6="X", n=5, m=5, checks=(chk,), skipped_reason=None)
+    rep = BoundReport(graph6="X", n=5, m=5, check=chk, skipped_reason=None)
     (line,) = report_lines([rep])
     assert '"bound": "10/3"' in line
     assert '"margin": "1/3"' in line

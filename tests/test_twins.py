@@ -42,7 +42,6 @@ def test_square_twins():
     assert rep.closed_vertex_pairs == ()
     assert rep.open_edge_pairs == ((0, 3), (1, 2))
     assert rep.closed_edge_pairs == ()
-    assert rep.has_vertex_twins and rep.has_edge_twins
     assert not is_twin_free(C4)
     assert not is_edge_twin_free(C4)
 
@@ -50,8 +49,8 @@ def test_square_twins():
 def test_path_five_has_no_twins():
     rep = twin_report(P5)
     assert rep == twin_report(P5)
-    assert not rep.has_vertex_twins
-    assert not rep.has_edge_twins
+    assert rep.open_vertex_pairs == rep.closed_vertex_pairs == ()
+    assert rep.open_edge_pairs == rep.closed_edge_pairs == ()
     assert is_twin_free(P5)
     assert is_edge_twin_free(P5)
 
@@ -99,8 +98,8 @@ def test_twin_report_matches_set_definitions():
             assert g.open_neighborhood(u) == g.open_neighborhood(v)
         for u, v in rep.closed_vertex_pairs:
             assert g.closed_neighborhood(u) == g.closed_neighborhood(v)
-        assert is_edge_twin_free(g) == (not rep.has_edge_twins)
-        assert is_twin_free(g) == (not rep.has_vertex_twins)
+        assert is_edge_twin_free(g) == (not merged)
+        assert is_twin_free(g) == (not (rep.open_vertex_pairs or rep.closed_vertex_pairs))
         masks = edge_twin_masks(g)
         pair_set = set()
         for i, mask in enumerate(masks):

@@ -17,7 +17,6 @@ from locdom import (
     LocdomError,
     SizeLimitError,
     TheoremSummary,
-    are_isomorphic,
     canonical_form,
     check_graph,
     enumerate_graphs,
@@ -29,7 +28,7 @@ from locdom import (
     twin_report,
 )
 from locdom.verify import _classified, _relabelings
-from conftest import random_graph
+from conftest import nx_isomorphic, random_graph
 
 # labeled graph counts on n vertices: all, and connected
 ALL_COUNTS = {1: 1, 2: 2, 3: 8, 4: 64, 5: 1024}
@@ -182,16 +181,16 @@ def test_canonical_form_is_relabeling_invariant():
         rng.shuffle(perm)
         h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
         assert canonical_form(g) == canonical_form(h)
-        assert are_isomorphic(g, h)
+        assert nx_isomorphic(g, h)
 
 
 def test_isomorphism_examples():
     p4 = named_graph("P4")
     relabeled = Graph(4, [(2, 0), (0, 3), (3, 1)])
-    assert are_isomorphic(p4, relabeled)
-    assert not are_isomorphic(p4, named_graph("K1,3"))  # same n, m; different degrees
-    assert not are_isomorphic(p4, named_graph("C4"))
-    assert not are_isomorphic(p4, named_graph("P3"))
+    assert nx_isomorphic(p4, relabeled)
+    assert not nx_isomorphic(p4, named_graph("K1,3"))  # same n, m; different degrees
+    assert not nx_isomorphic(p4, named_graph("C4"))
+    assert not nx_isomorphic(p4, named_graph("P3"))
     with pytest.raises(SizeLimitError):
         canonical_form(Graph(9))
 
@@ -226,7 +225,7 @@ def test_open_twin_census_is_the_five_shapes():
     targets = [named_graph(s) for s in ("P4", "C4", "paw", "diamond", "K4")]
     for rep in census:
         assert rep.n == 4
-        assert sum(1 for t in targets if are_isomorphic(rep, t)) == 1
+        assert sum(1 for t in targets if nx_isomorphic(rep, t)) == 1
     # distinct classes
     assert len({canonical_form(rep) for rep in census}) == 5
 
@@ -256,19 +255,19 @@ def test_check_graph_records():
     c6 = named_graph("C6")
     rep = check_graph(c6, "weld_half")
     assert rep.skipped_reason is None
-    (chk,) = rep.checks
+    chk = rep.check
     assert chk == BoundCheck(parameter="weld", value=3, bound=Fraction(3), holds=True)
     assert (rep.graph6, rep.n, rep.m) == ("EhEG", 6, 6)
 
     assert check_graph(Graph(2, [(0, 1)]), "weld_half").skipped_reason == "isolated_edge"
     assert check_graph(named_graph("P4"), "eld_half").skipped_reason == "not_edge_twin_free"
     assert check_graph(Graph(4, [(0, 1), (2, 3)]), "obs1").skipped_reason == "disconnected"
-    assert check_graph(c6, "size6_eld3").checks[0].holds
+    assert check_graph(c6, "size6_eld3").check.holds
     assert check_graph(named_graph("P4"), "size6_eld3").skipped_reason == "size_mismatch"
     assert check_graph(Graph(3), "ore_half").skipped_reason == "isolated_vertex"
     assert check_graph(Graph(1), "cockayne_two_thirds").skipped_reason == "isolated_vertex"
     assert check_graph(Graph(2, [(0, 1)]), "cockayne_two_thirds").skipped_reason == "isolated_edge"
-    assert check_graph(named_graph("P3"), "cockayne_two_thirds").checks[0].value == 2
+    assert check_graph(named_graph("P3"), "cockayne_two_thirds").check.value == 2
 
     with pytest.raises(LocdomError):
         check_graph(c6, "no_such_theorem")
@@ -285,20 +284,20 @@ def test_every_theorem_reports_on_large_complete_graphs(name):
         if theorem == "size6_eld3":
             assert rep.skipped_reason == "size_mismatch"
         else:
-            assert rep.skipped_reason is None and all(chk.holds for chk in rep.checks)
-    assert check_graph(g, "cor_ld_line").checks[0].value == 6
-    assert check_graph(g, "cor_ltd_line").checks[0].value == 6
+            assert rep.skipped_reason is None and rep.check.holds
+    assert check_graph(g, "cor_ld_line").check.value == 6
+    assert check_graph(g, "cor_ltd_line").check.value == 6
 
 
 def test_check_graph_line_corollaries():
     p5 = named_graph("P5")
     rep = check_graph(p5, "cor_ld_line")
-    (chk,) = rep.checks
+    chk = rep.check
     # L(P_5) = P_4 whose location-domination number is 2, against bound 4/2
     assert chk.parameter == "ld" and chk.value == 2 and chk.bound == Fraction(2)
     assert chk.holds
     rep2 = check_graph(p5, "cor_ltd_line")
-    (chk2,) = rep2.checks
+    chk2 = rep2.check
     assert chk2.parameter == "ltd" and chk2.value == 2
     assert chk2.bound == Fraction(8, 3)
 
@@ -322,7 +321,7 @@ def test_summary_registers_violations():
         graph6="FAKE",
         n=5,
         m=5,
-        checks=(BoundCheck("weld", 9, Fraction(5, 2), False),),
+        check=BoundCheck("weld", 9, Fraction(5, 2), False),
         skipped_reason=None,
     )
     summary.add(fake)
