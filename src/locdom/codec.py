@@ -161,17 +161,31 @@ def report_lines(reports: Iterable["BoundReport"]) -> Iterator[str]:
     Key order is fixed (graph6, n, m, then the verdict fields) so equal runs
     produce bytewise equal output.  `bound` and `margin` are exact rationals
     written as strings, such as "10/3", "3" or "-1/3".
+
+    Members of an isomorphism class share their verdict and differ only in
+    graph6, so each distinct verdict's tail (everything after graph6) is
+    rendered once per call and reused.  The memo is keyed on plain values,
+    not on the BoundCheck, whose hash and equality run in Python.
     """
+    tails: dict[tuple, str] = {}
     for rep in reports:
-        record = {"graph6": rep.graph6, "n": rep.n, "m": rep.m}
         chk = rep.check
         if chk is None:
-            record["skipped_reason"] = rep.skipped_reason
+            key = (rep.n, rep.m, rep.skipped_reason)
         else:
-            record.update(
-                param=chk.parameter,
-                value=chk.value,
-                bound=str(chk.bound),
-                margin=str(chk.bound - chk.value),
-            )
-        yield json.dumps(record)
+            bound = chk.bound
+            key = (rep.n, rep.m, chk.parameter, chk.value, bound.numerator, bound.denominator)
+        tail = tails.get(key)
+        if tail is None:
+            record = {"n": rep.n, "m": rep.m}
+            if chk is None:
+                record["skipped_reason"] = rep.skipped_reason
+            else:
+                record.update(
+                    param=chk.parameter,
+                    value=chk.value,
+                    bound=str(chk.bound),
+                    margin=str(chk.bound - chk.value),
+                )
+            tail = tails[key] = ", " + json.dumps(record)[1:]
+        yield '{"graph6": ' + json.dumps(rep.graph6) + tail

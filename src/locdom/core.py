@@ -97,11 +97,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.vadj[self.check_vertex(v)].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return (self.vadj[u] >> v) & 1 == 1
-
     def edge_id(self, u: int, v: int) -> int:
         """Canonical index of the edge {u, v}."""
         self.check_vertex(u)
@@ -114,19 +109,6 @@ class Graph:
 
     def endpoints(self, e: int) -> tuple[int, int]:
         return self.edges[self.check_edge(e)]
-
-    def open_neighborhood(self, v: int) -> frozenset[int]:
-        return frozenset(bits(self.vadj[self.check_vertex(v)]))
-
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return frozenset(bits(self.vadj[self.check_vertex(v)] | (1 << v)))
-
-    def edge_neighborhood(self, e: int) -> frozenset[int]:
-        """Indices of edges sharing exactly one endpoint with edge e."""
-        return frozenset(bits(self.eadj[self.check_edge(e)]))
-
-    def closed_edge_neighborhood(self, e: int) -> frozenset[int]:
-        return frozenset(bits(self.eadj[self.check_edge(e)] | (1 << e)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

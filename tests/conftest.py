@@ -12,38 +12,48 @@ from itertools import combinations
 
 import networkx as nx
 
-from locdom import Graph
+from locdom import Graph, bits
 
 # ---------------------------------------------------------------------------
 # Reference predicates (set-based, deliberately naive)
 # ---------------------------------------------------------------------------
 
 
+def nbrs(g: Graph, v: int) -> set[int]:
+    """Open neighbourhood of vertex v, read off its adjacency mask."""
+    return set(bits(g.vadj[v]))
+
+
+def edge_nbrs(g: Graph, e: int) -> set[int]:
+    """Indices of the edges sharing an endpoint with edge e, e excluded."""
+    return set(bits(g.eadj[e]))
+
+
 def ref_is_dominating(g: Graph, d: set[int]) -> bool:
-    return all(v in d or g.open_neighborhood(v) & d for v in range(g.n))
+    return all(v in d or nbrs(g, v) & d for v in range(g.n))
 
 
 def ref_is_total_dominating(g: Graph, d: set[int]) -> bool:
-    return all(g.open_neighborhood(v) & d for v in range(g.n))
+    return all(nbrs(g, v) & d for v in range(g.n))
 
 
 def ref_is_locating(g: Graph, d: set[int]) -> bool:
     outside = [v for v in range(g.n) if v not in d]
-    traces = [g.open_neighborhood(v) & d for v in outside]
+    traces = [nbrs(g, v) & d for v in outside]
     return len({frozenset(t) for t in traces}) == len(traces)
 
 
 def ref_is_edge_dominating(g: Graph, d: set[int]) -> bool:
-    return all(e in d or g.edge_neighborhood(e) & d for e in range(g.m))
+    return all(e in d or edge_nbrs(g, e) & d for e in range(g.m))
 
 
 def ref_is_edge_total_dominating(g: Graph, d: set[int]) -> bool:
-    return all(g.edge_neighborhood(e) & d for e in range(g.m))
+    return all(edge_nbrs(g, e) & d for e in range(g.m))
 
 
 def ref_is_edge_locating(g: Graph, d: set[int]) -> bool:
     outside = [e for e in range(g.m) if e not in d]
-    traces = [g.edge_neighborhood(e) & d for e in outside]
+    traces = [edge_nbrs(g, e) & d for e in outside]
     return len({frozenset(t) for t in traces}) == len(traces)
 
 
@@ -51,9 +61,9 @@ def ref_edge_twin_pairs(g: Graph) -> set[tuple[int, int]]:
     """Pairs (e, f) with e < f that are open or closed edge twins."""
     out = set()
     for e, f in combinations(range(g.m), 2):
-        if g.edge_neighborhood(e) == g.edge_neighborhood(f):
+        if edge_nbrs(g, e) == edge_nbrs(g, f):
             out.add((e, f))
-        elif g.closed_edge_neighborhood(e) == g.closed_edge_neighborhood(f):
+        elif edge_nbrs(g, e) | {e} == edge_nbrs(g, f) | {f}:
             out.add((e, f))
     return out
 
@@ -62,8 +72,8 @@ def ref_is_weak_edge_locating(g: Graph, d: set[int]) -> bool:
     twins = ref_edge_twin_pairs(g)
     outside = [e for e in range(g.m) if e not in d]
     for e, f in combinations(outside, 2):
-        te = g.edge_neighborhood(e) & d
-        tf = g.edge_neighborhood(f) & d
+        te = edge_nbrs(g, e) & d
+        tf = edge_nbrs(g, f) & d
         if te == tf and (e, f) not in twins:
             return False
     return True

@@ -1,5 +1,6 @@
 """graph6 and edge-list codecs plus the JSON report serialisation."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,17 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locdom import (
+    THEOREMS,
     BadCharacterError,
     BadLengthError,
     BoundCheck,
     BoundReport,
     CodecError,
+    EnumerationSpec,
     Graph,
     HeaderMismatchError,
     LocdomError,
     SizeLimitError,
     VertexRangeError,
     check_graph,
+    enumerate_graphs,
     parse_edgelist,
     parse_graph6,
     report_lines,
@@ -199,3 +203,40 @@ def test_report_fractional_bound_serialisation():
     (line,) = report_lines([rep])
     assert '"bound": "10/3"' in line
     assert '"margin": "1/3"' in line
+
+
+def _per_record_json(rep):
+    """The report line from one json.dumps of the whole record, with no memo."""
+    record = {"graph6": rep.graph6, "n": rep.n, "m": rep.m}
+    chk = rep.check
+    if chk is None:
+        record["skipped_reason"] = rep.skipped_reason
+    else:
+        record.update(
+            param=chk.parameter,
+            value=chk.value,
+            bound=str(chk.bound),
+            margin=str(chk.bound - chk.value),
+        )
+    return json.dumps(record)
+
+
+def test_report_lines_matches_per_record_json():
+    # K2 is skipped by weld_half and checked by ore_half at the same (n, m)
+    graphs = [*enumerate_graphs(EnumerationSpec(4)), parse_graph6("D\\_"), Graph(2, [(0, 1)]), C6]
+    stream = [check_graph(g, theorem) for g in graphs for theorem in THEOREMS]
+    assert {"C\\", "D\\_"} <= {rep.graph6 for rep in stream}
+
+    def c5_check(graph6, param, value, bound):
+        return BoundReport(graph6, 5, 5, BoundCheck(param, value, bound, value <= bound), None)
+
+    # equal (n, m, value); each differs from the first in parameter or bound only
+    stream += [
+        c5_check("Dhc", "eld", 2, Fraction(5, 2)),
+        c5_check("DxC", "weld", 2, Fraction(5, 2)),
+        c5_check("DxC", "eld", 2, Fraction(10, 3)),
+        c5_check("Dhc", "eld", 2, Fraction(5, 3)),
+        BoundReport("Dhc", 5, 5, None, "isolated_edge"),
+        c5_check("D\\_", "eld", 2, Fraction(5, 2)),
+    ]
+    assert list(report_lines(stream)) == [_per_record_json(rep) for rep in stream]

@@ -24,7 +24,7 @@ from locdom import (
     is_twin_free,
     twin_report,
 )
-from conftest import random_graph, ref_edge_twin_pairs
+from conftest import edge_nbrs, nbrs, random_graph, ref_edge_twin_pairs
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -91,13 +91,13 @@ def test_twin_report_matches_set_definitions():
         assert merged == ref_edge_twin_pairs(g)
         assert not (set(rep.open_edge_pairs) & set(rep.closed_edge_pairs))
         for e, f in rep.open_edge_pairs:
-            assert g.edge_neighborhood(e) == g.edge_neighborhood(f)
+            assert edge_nbrs(g, e) == edge_nbrs(g, f)
         for e, f in rep.closed_edge_pairs:
-            assert g.closed_edge_neighborhood(e) == g.closed_edge_neighborhood(f)
+            assert edge_nbrs(g, e) | {e} == edge_nbrs(g, f) | {f}
         for u, v in rep.open_vertex_pairs:
-            assert g.open_neighborhood(u) == g.open_neighborhood(v)
+            assert nbrs(g, u) == nbrs(g, v)
         for u, v in rep.closed_vertex_pairs:
-            assert g.closed_neighborhood(u) == g.closed_neighborhood(v)
+            assert nbrs(g, u) | {u} == nbrs(g, v) | {v}
         assert is_edge_twin_free(g) == (not merged)
         assert is_twin_free(g) == (not (rep.open_vertex_pairs or rep.closed_vertex_pairs))
         masks = edge_twin_masks(g)

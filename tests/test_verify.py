@@ -27,7 +27,7 @@ from locdom import (
     report_lines,
     twin_report,
 )
-from locdom.verify import _classified, _relabelings
+from locdom.verify import _THEOREMS, _classified, _relabelings
 from conftest import nx_isomorphic, random_graph
 
 # labeled graph counts on n vertices: all, and connected
@@ -249,6 +249,11 @@ def test_theorem_names_and_skip_reasons_are_frozen():
         "disconnected",
         "size_mismatch",
     }
+
+
+def test_skip_reasons_cover_every_theorem_row():
+    named = {reason for row in _THEOREMS.values() for reason, _ in row.preconditions}
+    assert set(SKIP_REASONS) == named
 
 
 def test_check_graph_records():
