@@ -4,7 +4,9 @@ Subcommands: solve (exact parameter values with witnesses), twins
 (twin-pair reports), linegraph (graph6 of L(G)), gen (tight-family and
 catalogue generators), verify (the exhaustive bound harness), encode
 (format conversion).  Graphs arrive as graph6 lines on stdin unless --in
-names a file, so subcommands compose in shell pipelines.
+names a file, so subcommands compose in shell pipelines.  verify is the
+exception: without --in it runs its own --max-n census and leaves stdin
+unread, so piped graphs need --in /dev/stdin.
 
 Exit status: 0 success, 1 domain errors (with the violated precondition
 named on stderr) or a closed stdout, 2 usage errors, 3 when verify found
@@ -253,7 +255,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enumerate all graphs, not just connected ones",
     )
-    _add_input_option(p)
+    p.add_argument(
+        "--in",
+        dest="infile",
+        metavar="PATH",
+        help="check the graph6 lines in PATH instead of running the --max-n census;"
+        " stdin is never read, so use --in /dev/stdin for piped input",
+    )
     p.set_defaults(func=_cmd_verify, parser=p)
 
     p = subs.add_parser("encode", help="convert between graph6 and edge lists")

@@ -23,11 +23,23 @@ locating families keep only the members that contain no other.
 enumerates k-subsets in lexicographic order and returns the first one that
 meets every member, so the reported witness is the lexicographically least
 optimum and repeated runs are byte-identical.  The search state is the set
-of members hit so far.  A branch at position s dies when a member whose
-highest element lies below s is still unhit, since no later choice can hit
-it, and when the unhit count exceeds the free slots times the most members
-any one element hits.  Neither prune removes a feasible set, so the first
-hit in lexicographic order is still the least witness.
+of members hit so far, and no branch is called only to die on entry:
+
+- the scan over the next element j stops once a member whose highest
+  element lies below j is unhit, since neither j nor any later element
+  can hit it;
+- a branch is entered only when its unhit members number at most its free
+  slots times the most members any one element hits, and a size k is
+  skipped when the whole family exceeds k times that;
+- the last slot takes no call: its element lies in every unhit member, so
+  only the elements above j of the lowest unhit member are tried, in
+  increasing order, and the first whose hits cover all unhit members
+  completes the set.
+
+Each cut removes only branches that hold no feasible set, and the last
+slot tries every element that can complete the set in the order the plain
+scan would, so the first hit in lexicographic order is still the least
+witness.
 
 The public `is_*` predicates compare traces directly instead of using the
 mask family, so they stay an independent check on the solver.
@@ -254,13 +266,15 @@ def solve_min(g: Graph, parameter: "str | Parameter") -> SolveResult:
 
 def _least_hitting_set(ground: int, family: list[int], first_k: int) -> tuple[int, int]:
     """Smallest subset of range(ground) that meets every mask in family,
-    lexicographically least among the smallest; no size below first_k works."""
+    lexicographically least among the smallest.  Every mask is a nonempty
+    subset of range(ground), the first ground masks are symmetric (j lies in
+    mask i exactly when i lies in mask j), and no size below first_k works."""
     if not family:
         return 0, 0
     full = (1 << len(family)) - 1
     # hits[j]: the members that element j meets.  Adjacency is symmetric,
-    # so the covering masks are their own transpose.  need_by[s]: the
-    # members whose highest element lies below s.
+    # so the covering masks are their own transpose.  later[s]: the members
+    # that meet an element at or after s.
     hits = family[:ground]
     for i in range(ground, len(family)):
         member, mask = 1 << i, family[i]
@@ -268,28 +282,44 @@ def _least_hitting_set(ground: int, family: list[int], first_k: int) -> tuple[in
             low = mask & -mask
             hits[low.bit_length() - 1] |= member
             mask ^= low
-    marks = [0] * (ground + 1)
-    for i, mask in enumerate(family):
-        marks[mask.bit_length()] |= 1 << i
-    need_by = list(accumulate(marks, or_))
+    later = list(accumulate(reversed(hits), or_))[::-1]
     widest = max(map(int.bit_count, hits))
 
     def dfs(start: int, slots: int, hit: int, chosen: int):
-        if need_by[start] & ~hit or (full ^ hit).bit_count() > slots * widest:
-            return None
         for j in range(start, ground - slots + 1):
+            # An unhit member wholly below j is missed by j and by every
+            # later element, so no later branch can succeed either.
+            if hit | later[j] != full:
+                return None
             now = hit | hits[j]
             if now == full:
                 return chosen | 1 << j
-            if slots > 1:
-                found = dfs(j + 1, slots - 1, now, chosen | 1 << j)
-                if found is not None:
-                    return found
+            # Choosing j leaves rest unhit.  Every member below j + 1 is hit
+            # now (those below j by the test above, the others contain j),
+            # so a child could only die on the width bound: test it here.
+            rest = full ^ now
+            if slots == 1 or rest.bit_count() > (slots - 1) * widest:
+                continue
+            if slots == 2:
+                # The last element lies in every unhit member, so it is an
+                # element above j of the lowest one; try those in order.
+                above = family[(rest & -rest).bit_length() - 1] >> j + 1 << j + 1
+                while above:
+                    low = above & -above
+                    if hits[low.bit_length() - 1] & rest == rest:
+                        return chosen | 1 << j | low
+                    above ^= low
+                continue
+            found = dfs(j + 1, slots - 1, now, chosen | 1 << j)
+            if found is not None:
+                return found
         return None
 
     # A full hit before all k slots are used cannot happen: that smaller set
     # would have been found at a shallower k.
     for k in range(max(first_k, 1), ground + 1):
+        if len(family) > k * widest:  # the width bound at the root
+            continue
         found = dfs(0, k, 0, 0)
         if found is not None:
             return k, found

@@ -211,6 +211,26 @@ def test_verify_from_file(tmp_path, capsys, monkeypatch):
     assert summary["skipped"] == {"isolated_edge": 1}
 
 
+def test_verify_census_ignores_piped_stdin():
+    # Without --in, verify runs its --max-n census and leaves stdin unread;
+    # --in /dev/stdin is the way to check piped graphs.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-m", "locdom.cli", "verify", "--theorem", "obs1", "--max-n", "3"]
+
+    def run(extra, stdin):
+        proc = subprocess.run(
+            argv + extra, input=stdin, capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        return proc.stdout
+
+    census = run([], "")
+    assert run([], "G~~~~{\n") == census
+    assert json.loads(census.splitlines()[-1])["checked"] == 6  # 1 + 1 + 4 labeled
+    piped = run(["--in", "/dev/stdin"], "G~~~~{\n").splitlines()
+    assert [json.loads(line)["graph6"] for line in piped[:-1]] == ["G~~~~{"]
+
+
 def test_verify_include_disconnected(capsys, monkeypatch):
     rc, out, _ = run_cli(
         capsys,

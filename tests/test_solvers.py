@@ -21,8 +21,10 @@ from locdom import (
     is_weak_edge_locating,
     parse_graph6,
     parse_parameter,
+    bits,
     solve_min,
 )
+from locdom.solvers import _least_hitting_set
 import conftest
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -224,6 +226,76 @@ def test_minimizer_matches_brute_force_on_random_graphs():
             continue
         seen += 1
         _cross_check(g)
+
+
+def _random_family(rng: random.Random, ground: int) -> list[int]:
+    """Nonempty masks on range(ground) of mixed density, from no graph.
+
+    The first ground members form a symmetric block (j lies in member i
+    exactly when i lies in member j), as the search requires; any diagonal
+    is allowed, and up to 12 arbitrary members follow.  Some families are
+    planted: an element in every member (optimum 1), a pair that meets
+    every member (optimum at most 2), or every singleton (optimum ground).
+    """
+    density = rng.uniform(0.1, 0.7)
+    family = [0] * ground
+
+    def link(i: int, j: int) -> None:
+        family[i] |= 1 << j
+        family[j] |= 1 << i
+
+    plant = rng.randrange(4)
+    if plant == 3:
+        for i in range(ground):
+            link(i, i)
+    else:
+        for i in range(ground):
+            for j in range(i, ground):
+                if rng.random() < density:
+                    link(i, j)
+    for _ in range(rng.randrange(13)):
+        family.append(sum(1 << x for x in range(ground) if rng.random() < density))
+    if plant == 1:
+        common = rng.randrange(ground)
+        for i in range(ground):
+            link(i, common)
+        family[ground:] = [mask | 1 << common for mask in family[ground:]]
+    elif plant == 2 and ground > 1:
+        a, b = rng.sample(range(ground), 2)
+        for i in range(ground):
+            if not family[i] >> a & 1 and not family[i] >> b & 1:
+                link(i, rng.choice((a, b)))
+        family[ground:] = [
+            mask if mask >> a & 1 or mask >> b & 1 else mask | 1 << rng.choice((a, b))
+            for mask in family[ground:]
+        ]
+    for i in range(ground):
+        if not family[i]:
+            link(i, i)
+    return [mask or 1 << rng.randrange(ground) for mask in family]
+
+
+def test_least_hitting_set_matches_brute_force_on_random_families():
+    rng = random.Random(20261018)
+    optima = set()
+    top_chosen = 0
+    for _ in range(600):
+        ground = rng.randrange(1, 9)
+        family = _random_family(rng, ground)
+        assert all(
+            family[i] >> j & 1 == family[j] >> i & 1 for i in range(ground) for j in range(i)
+        )
+        expected = conftest.ref_minimum(
+            ground, lambda d: all(any(mask >> x & 1 for x in d) for mask in family)
+        )
+        size, mask = _least_hitting_set(ground, family, 0)
+        assert (size, tuple(bits(mask))) == expected, (ground, family)
+        optima.add("ground" if size == ground >= 3 else size)
+        top_chosen += mask >> ground - 1 & 1
+    # The cases the search treats apart: the root alone, the last slot filled
+    # at the root, every element needed, and the highest element chosen.
+    assert {1, 2, 3, "ground"} <= optima
+    assert top_chosen
 
 
 # Values and least witnesses beyond brute-force reach, recorded from the
