@@ -248,7 +248,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="stream bound-check reports plus a summary")
     p.add_argument("--theorem", required=True, choices=THEOREMS)
-    p.add_argument("--max-n", type=_max_n_arg, default=6, dest="max_n")
+    p.add_argument(
+        "--max-n", type=_max_n_arg, default=6, dest="max_n", metavar="N",
+        help="census of every order 1..N (default 6); N = 8 scans 2^28 masks"
+        " and needs a 512 MB class table",
+    )
     p.add_argument("--shard", type=_shard_arg, default=(0, 1), metavar="I/T")
     p.add_argument(
         "--include-disconnected",

@@ -12,8 +12,10 @@ A set D is feasible exactly when it meets every member of the family:
 - for the locating variants, one separation mask per pair a < b,
   `(adj[a] ^ adj[b]) | 1<<a | 1<<b`: D fails to separate a and b exactly
   when both lie outside D and their traces on D agree, that is when D
-  misses a, b and every element adjacent to just one of them.  The weak
-  variant has no mask for an edge-twin pair.
+  misses a, b and every element adjacent to just one of them.  Twins are
+  exactly the pairs whose mask is the pair alone (the XOR is empty for open
+  twins and {a, b} for closed ones; {a} alone would break symmetry), so the
+  weak variant drops the masks of two elements.
 
 Meeting a mask survives adding elements, so feasibility is closed under
 supersets, and a mask that contains another member is redundant; the
@@ -87,20 +89,9 @@ class Parameter(Enum):
 
 
 _ALIASES = {
-    "dom": Parameter.DOM,
+    **{p.value: p for p in Parameter},
+    **{p.name.lower(): p for p in Parameter},
     "domination": Parameter.DOM,
-    "tdom": Parameter.TOTAL_DOM,
-    "total_dom": Parameter.TOTAL_DOM,
-    "ld": Parameter.LOC_DOM,
-    "loc_dom": Parameter.LOC_DOM,
-    "ltd": Parameter.LOC_TOTAL_DOM,
-    "loc_total_dom": Parameter.LOC_TOTAL_DOM,
-    "eld": Parameter.EDGE_LOC_DOM,
-    "edge_loc_dom": Parameter.EDGE_LOC_DOM,
-    "eltd": Parameter.EDGE_LOC_TOTAL_DOM,
-    "edge_loc_total_dom": Parameter.EDGE_LOC_TOTAL_DOM,
-    "weld": Parameter.WEAK_EDGE_LOC_DOM,
-    "weak_edge_loc_dom": Parameter.WEAK_EDGE_LOC_DOM,
 }
 
 PARAMETER_NAMES = frozenset(_ALIASES)
@@ -227,13 +218,13 @@ def _constraint_masks(g: Graph, param: Parameter) -> tuple[int, list[int]]:
         )
     if not param.locating:
         return ground, family
-    twins = edge_twin_masks(g) if param is Parameter.WEAK_EDGE_LOC_DOM else (0,) * ground
     separations = {
         adj[a] ^ adj[b] | 1 << a | 1 << b
         for a in range(ground)
         for b in range(a + 1, ground)
-        if not twins[a] >> b & 1
     }
+    if param is Parameter.WEAK_EDGE_LOC_DOM:  # exempt the twin pairs
+        separations = {mask for mask in separations if mask.bit_count() > 2}
     for mask in sorted(separations, key=int.bit_count):
         for low in family:
             if low & mask == low:

@@ -152,7 +152,7 @@ def _classified(spec: EnumerationSpec) -> Iterator[tuple[int, int]]:
     from 1 in order of first appearance."""
     n = spec.n
     size = 1 << len(_pair_table(n))
-    classes = array("H", bytes(2 * size))
+    classes = array("H", [0]) * size
     passes = [False]  # per class index: does it pass the connectivity filter
     shard_index, shard_total = spec.shard
     yielded: set[int] | None = set() if spec.dedup_isomorphic else None
@@ -215,16 +215,9 @@ def graphs_with_open_edge_twins(n: int, connected_only: bool = True) -> list[Gra
         raise SizeLimitError(
             f"open-twin inversion supports 0 <= n <= {MAX_ENUM_VERTICES}, got {n}"
         )
-    pairs = _pair_table(n)
-    count = len(pairs)
+    count = len(_pair_table(n))
     full = (1 << count) - 1
-    adj_slots = []
-    for u, v in pairs:
-        mask = 0
-        for j, (x, y) in enumerate(pairs):
-            if (x, y) != (u, v) and len({u, v} & {x, y}) == 1:
-                mask |= 1 << j
-        adj_slots.append(mask)
+    adj_slots = _mask_graph(n, full).eadj  # slot i is edge i of K_n
     hits: set[int] = set()
     for a in range(count):
         for b in range(a + 1, count):

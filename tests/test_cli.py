@@ -315,6 +315,18 @@ def test_verify_output_of_every_theorem_is_pinned(tmp_path, capsys, monkeypatch)
         assert hashlib.sha256("".join(outs).encode()).hexdigest() == pinned, options
 
 
+PINNED_TWINS = "c701c09ad56c3b1b7ddfd01017d337d0c4f5a92b6c1d0f4b2282c0c5120d16cd"
+
+
+def test_twins_output_is_pinned(capsys, monkeypatch):
+    # every connected labeled graph with n <= 5, then two with edge-twins
+    lines = [write_graph6(g) for n in range(6) for g in enumerate_graphs(EnumerationSpec(n=n))]
+    lines += ["IhGGGC@?G", "JjPOWjs?G@?"]
+    rc, out, _ = run_cli(capsys, monkeypatch, ["twins"], stdin="\n".join(lines) + "\n")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TWINS
+
+
 def test_closed_stdout_exits_one_without_traceback(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     err_path = tmp_path / "stderr"

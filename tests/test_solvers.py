@@ -24,7 +24,7 @@ from locdom import (
     bits,
     solve_min,
 )
-from locdom.solvers import _least_hitting_set
+from locdom.solvers import PARAMETER_NAMES, _constraint_masks, _least_hitting_set
 import conftest
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -67,6 +67,14 @@ def test_parse_parameter_aliases():
     assert parse_parameter(Parameter.LOC_DOM) is Parameter.LOC_DOM
     with pytest.raises(LocdomError):
         parse_parameter("gamma")
+
+
+def test_parameter_names_are_the_fourteen_aliases():
+    # the CLI choices and the unknown-parameter message list these names
+    assert PARAMETER_NAMES == {
+        "dom", "domination", "tdom", "total_dom", "ld", "loc_dom", "ltd", "loc_total_dom",
+        "eld", "edge_loc_dom", "eltd", "edge_loc_total_dom", "weld", "weak_edge_loc_dom",
+    }
 
 
 def test_parameter_properties():
@@ -320,6 +328,27 @@ def test_pinned_values_on_larger_graphs(graph6, name, value, witness):
     res = solve_min(g, name)
     assert (res.value, tuple(sorted(res.witness))) == (value, witness)
     assert REF_PREDICATES[parse_parameter(name)](g, set(witness))
+
+
+def test_constraint_masks_start_with_a_symmetric_block():
+    """_least_hitting_set reads the first ground members as their own transpose,
+    so every family the solver builds must open with ground symmetric masks."""
+    graphs = [
+        g for n in range(6) for g in enumerate_graphs(EnumerationSpec(n=n, connected_only=False))
+    ]
+    graphs += [parse_graph6(graph6) for graph6, *_ in PINNED]
+    for g in graphs:
+        for param in Parameter:
+            try:
+                ground, family = _constraint_masks(g, param)
+            except InfeasibleError:
+                continue
+            assert len(family) >= ground, (g, param)
+            assert all(
+                family[i] >> j & 1 == family[j] >> i & 1
+                for i in range(ground)
+                for j in range(i + 1, ground)
+            ), (g, param)
 
 
 def test_parameter_chains():

@@ -22,9 +22,11 @@ from locdom import (
     is_connected,
     is_edge_twin_free,
     is_twin_free,
+    named_graph,
     twin_report,
 )
-from conftest import edge_nbrs, nbrs, random_graph, ref_edge_twin_pairs
+from locdom.twins import _is_open_twin_shape
+from conftest import edge_nbrs, nbrs, nx_isomorphic, random_graph, ref_edge_twin_pairs
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -112,6 +114,14 @@ def test_twin_report_matches_set_definitions():
 def test_observation_examples_pass():
     for g in (K3, P4, C4, PAW, DIAMOND, K4, P5):
         assert check_observation1(g) == []
+
+
+def test_open_twin_shapes_are_the_connected_four_vertex_graphs_but_the_claw():
+    shapes = [named_graph(name) for name in ("P4", "C4", "paw", "diamond", "K4")]
+    for n in range(6):
+        for g in enumerate_graphs(EnumerationSpec(n=n)):
+            expected = any(nx_isomorphic(g, shape) for shape in shapes)
+            assert _is_open_twin_shape(g) == expected, g.edges
 
 
 def test_observation_requires_connectivity():
