@@ -3,10 +3,10 @@
 Vertices are the integers 0..n-1.  Edges are normalised to (u, v) with u < v
 and stored sorted lexicographically; the position of an edge in that tuple is
 its canonical index, and every other module (solvers, codecs, reports) refers
-to edges by that index.  Adjacency is precomputed three ways as Python ints
-used as bitsets: neighbour mask per vertex, incident-edge mask per vertex,
-and adjacent-edge mask per edge.  Feasibility loops elsewhere then reduce to
-integer AND/OR, which is what keeps exhaustive runs affordable.
+to edges by that index.  Adjacency is precomputed two ways as Python ints
+used as bitsets: neighbour mask per vertex and adjacent-edge mask per edge.
+Feasibility loops elsewhere then reduce to integer AND/OR, which is what
+keeps exhaustive runs affordable.
 
 No size caps: Python ints are unbounded, so a graph of any order or size
 fits the bitsets; exact solving, not the representation, is what limits
@@ -15,6 +15,7 @@ the practical size.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -36,7 +37,7 @@ def bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable simple graph with canonical edge order."""
 
-    __slots__ = ("n", "edges", "vadj", "vinc", "eadj", "_index")
+    __slots__ = ("n", "edges", "vadj", "eadj")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -66,7 +67,6 @@ class Graph:
     def _fill(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
         self.n = n
         self.edges = edges
-        self._index = {e: i for i, e in enumerate(edges)}
         vadj = [0] * n
         vinc = [0] * n
         for i, (u, v) in enumerate(edges):
@@ -75,7 +75,6 @@ class Graph:
             vinc[u] |= 1 << i
             vinc[v] |= 1 << i
         self.vadj = tuple(vadj)
-        self.vinc = tuple(vinc)
         self.eadj = tuple(
             (vinc[u] | vinc[v]) & ~(1 << i) for i, (u, v) in enumerate(edges)
         )
@@ -102,10 +101,10 @@ class Graph:
         self.check_vertex(u)
         self.check_vertex(v)
         key = (u, v) if u < v else (v, u)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise EdgeRangeError(f"no edge {key} in graph") from None
+        i = bisect_left(self.edges, key)
+        if i == self.m or self.edges[i] != key:
+            raise EdgeRangeError(f"no edge {key} in graph")
+        return i
 
     def endpoints(self, e: int) -> tuple[int, int]:
         return self.edges[self.check_edge(e)]

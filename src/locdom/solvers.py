@@ -43,8 +43,12 @@ slot tries every element that can complete the set in the order the plain
 scan would, so the first hit in lexicographic order is still the least
 witness.
 
-The public `is_*` predicates compare traces directly instead of using the
-mask family, so they stay an independent check on the solver.
+The seven public `is_*` predicates are two tests on traces N(x) ∩ D over
+`g.vadj`, or over `g.eadj`, the vertex adjacency of L(G): domination wants
+every trace of an element outside D nonempty (of every element, for the
+total variants), location wants elements outside D that share a trace to
+be pairwise exempt (only edge-twins, and only in the weak variant).  They
+read no mask of the family, so they stay an independent check on the solver.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import or_
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .core import Graph, bits
 from .errors import InfeasibleError, LocdomError
@@ -123,42 +127,51 @@ def _member_mask(members: Iterable[int], check: Callable[[int], int]) -> int:
     return mask
 
 
+def _dominates(adj: Sequence[int], d: int, total: bool) -> bool:
+    """Every element has a neighbour in d, or, unless total, lies in d."""
+    return all((a if total else a | 1 << i) & d for i, a in enumerate(adj))
+
+
+def _locates(adj: Sequence[int], d: int, exempt: Sequence[int]) -> bool:
+    """Elements outside d that share a trace on d are pairwise exempt, where
+    exempt[i] masks the elements allowed to share i's trace."""
+    groups: dict[int, int] = {}
+    for i, a in enumerate(adj):
+        if not d >> i & 1:
+            groups[a & d] = groups.get(a & d, 0) | 1 << i
+    return all(
+        not group & ~(exempt[i] | 1 << i) for group in groups.values() for i in bits(group)
+    )
+
+
 def is_dominating(g: Graph, members: Iterable[int]) -> bool:
     """Every vertex outside the set has a neighbour inside it."""
-    d = _member_mask(members, g.check_vertex)
-    return all((g.vadj[v] | (1 << v)) & d for v in range(g.n))
+    return _dominates(g.vadj, _member_mask(members, g.check_vertex), False)
 
 
 def is_total_dominating(g: Graph, members: Iterable[int]) -> bool:
     """Every vertex of the graph, inside or out, has a neighbour in the set."""
-    d = _member_mask(members, g.check_vertex)
-    return all(g.vadj[v] & d for v in range(g.n))
+    return _dominates(g.vadj, _member_mask(members, g.check_vertex), True)
 
 
 def is_locating(g: Graph, members: Iterable[int]) -> bool:
     """Vertices outside the set have pairwise distinct neighbour traces on it."""
-    d = _member_mask(members, g.check_vertex)
-    sigs = sorted(g.vadj[v] & d for v in range(g.n) if not (d >> v) & 1)
-    return all(a != b for a, b in zip(sigs, sigs[1:]))
+    return _locates(g.vadj, _member_mask(members, g.check_vertex), (0,) * g.n)
 
 
 def is_edge_dominating(g: Graph, members: Iterable[int]) -> bool:
     """Every edge outside the set shares an endpoint with an edge inside it."""
-    d = _member_mask(members, g.check_edge)
-    return all((g.eadj[e] | (1 << e)) & d for e in range(g.m))
+    return _dominates(g.eadj, _member_mask(members, g.check_edge), False)
 
 
 def is_edge_total_dominating(g: Graph, members: Iterable[int]) -> bool:
     """Every edge of the graph is adjacent to an edge of the set."""
-    d = _member_mask(members, g.check_edge)
-    return all(g.eadj[e] & d for e in range(g.m))
+    return _dominates(g.eadj, _member_mask(members, g.check_edge), True)
 
 
 def is_edge_locating(g: Graph, members: Iterable[int]) -> bool:
     """Edges outside the set have pairwise distinct adjacency traces on it."""
-    d = _member_mask(members, g.check_edge)
-    sigs = sorted(g.eadj[e] & d for e in range(g.m) if not (d >> e) & 1)
-    return all(a != b for a, b in zip(sigs, sigs[1:]))
+    return _locates(g.eadj, _member_mask(members, g.check_edge), (0,) * g.m)
 
 
 def is_weak_edge_locating(g: Graph, members: Iterable[int]) -> bool:
@@ -168,24 +181,7 @@ def is_weak_edge_locating(g: Graph, members: Iterable[int]) -> bool:
     location for them would make the parameter undefined on graphs that
     have twins; the weak variant exempts exactly those pairs.
     """
-    d = _member_mask(members, g.check_edge)
-    twins = edge_twin_masks(g)
-    entries = sorted(
-        (g.eadj[e] & d, e) for e in range(g.m) if not (d >> e) & 1
-    )
-    i = 0
-    while i < len(entries):
-        j = i + 1
-        group = 1 << entries[i][1]
-        while j < len(entries) and entries[j][0] == entries[i][0]:
-            group |= 1 << entries[j][1]
-            j += 1
-        if j - i > 1:
-            for _, e in entries[i:j]:
-                if group & ~(twins[e] | (1 << e)):
-                    return False
-        i = j
-    return True
+    return _locates(g.eadj, _member_mask(members, g.check_edge), edge_twin_masks(g))
 
 
 def _constraint_masks(g: Graph, param: Parameter) -> tuple[int, list[int]]:
@@ -205,17 +201,12 @@ def _constraint_masks(g: Graph, param: Parameter) -> tuple[int, list[int]]:
     else:
         family = [a | (1 << i) for i, a in enumerate(adj)]
     if 0 in family:  # only a total variant has empty covering masks
-        if param.on_edges:
-            raise InfeasibleError(
-                "isolated_edge",
-                "infeasible: isolated_edge (edge-total domination needs every edge"
-                " to have an adjacent edge)",
-            )
-        raise InfeasibleError(
-            "isolated_vertex",
-            "infeasible: isolated_vertex (total domination needs every vertex"
-            " to have a neighbour)",
+        reason, need = (
+            ("isolated_edge", "edge-total domination needs every edge to have an adjacent edge")
+            if param.on_edges
+            else ("isolated_vertex", "total domination needs every vertex to have a neighbour")
         )
+        raise InfeasibleError(reason, f"infeasible: {reason} ({need})")
     if not param.locating:
         return ground, family
     separations = {

@@ -204,17 +204,10 @@ def canonical_form(g: Graph) -> int:
     return min(_relabelings(sum(1 << index[e] for e in g.edges), g.n))
 
 
-def graphs_with_open_edge_twins(n: int, connected_only: bool = True) -> list[Graph]:
-    """Every labeled graph on n vertices containing an open edge-twin pair.
-
-    Built by inverting the pair quantifier (see module docstring) rather
-    than scanning all 2^C(n,2) graphs, then deduplicated by mask and
-    filtered for connectivity.
-    """
-    if not 0 <= n <= MAX_ENUM_VERTICES:
-        raise SizeLimitError(
-            f"open-twin inversion supports 0 <= n <= {MAX_ENUM_VERTICES}, got {n}"
-        )
+def _open_twin_masks(n: int) -> set[int]:
+    """Edge masks of every labeled graph on n vertices, connected or not, that
+    has an open edge-twin pair, by inverting the pair quantifier (see module
+    docstring) rather than scanning all 2^C(n,2) masks."""
     count = len(_pair_table(n))
     full = (1 << count) - 1
     adj_slots = _mask_graph(n, full).eadj  # slot i is edge i of K_n
@@ -232,28 +225,26 @@ def graphs_with_open_edge_twins(n: int, connected_only: bool = True) -> list[Gra
                 if sub == 0:
                     break
                 sub = (sub - 1) & free
-    out = []
-    for mask in sorted(hits):
-        g = _mask_graph(n, mask)
-        if connected_only and not is_connected(g):
-            continue
-        out.append(g)
-    return out
+    return hits
 
 
 def open_edge_twin_census(max_n: int) -> list[Graph]:
     """Connected graphs with open edge-twins, one representative per class.
 
-    Representatives are ordered by (order, canonical form); the expected
-    outcome for any max_n >= 4 is the five four-vertex shapes and nothing
-    else.
+    Representatives are ordered by (order, canonical form), each the least
+    mask of its class; the expected outcome for any max_n >= 4 is the five
+    four-vertex shapes and nothing else.
     """
+    if max_n > MAX_ENUM_VERTICES:
+        raise SizeLimitError(
+            f"open-twin inversion supports 0 <= n <= {MAX_ENUM_VERTICES}, got {max_n}"
+        )
     reps: dict[tuple[int, int], Graph] = {}
     for n in range(1, max_n + 1):
-        for g in graphs_with_open_edge_twins(n, connected_only=True):
-            key = (n, canonical_form(g))
-            if key not in reps:
-                reps[key] = g
+        for mask in sorted(_open_twin_masks(n)):
+            g = _mask_graph(n, mask)
+            if is_connected(g):
+                reps.setdefault((n, canonical_form(g)), g)
     return [reps[key] for key in sorted(reps)]
 
 

@@ -5,11 +5,13 @@ import random
 import pytest
 
 from locdom import (
+    EdgeRangeError,
     EnumerationSpec,
     Graph,
     InfeasibleError,
     LocdomError,
     Parameter,
+    VertexRangeError,
     enumerate_graphs,
     is_dominating,
     is_edge_dominating,
@@ -127,6 +129,35 @@ def test_weak_location_exempts_twins_only_pairwise():
     assert not is_edge_locating(star(4), [0])
 
 
+# (predicate, its set-based reference, does it take edges)
+PREDICATES = (
+    (is_dominating, conftest.ref_is_dominating, False),
+    (is_total_dominating, conftest.ref_is_total_dominating, False),
+    (is_locating, conftest.ref_is_locating, False),
+    (is_edge_dominating, conftest.ref_is_edge_dominating, True),
+    (is_edge_total_dominating, conftest.ref_is_edge_total_dominating, True),
+    (is_edge_locating, conftest.ref_is_edge_locating, True),
+    (is_weak_edge_locating, conftest.ref_is_weak_edge_locating, True),
+)
+
+
+def test_predicates_match_reference_on_every_subset():
+    for n in range(6):
+        for g in enumerate_graphs(EnumerationSpec(n, connected_only=False, dedup_isomorphic=True)):
+            for predicate, ref, on_edges in PREDICATES:
+                for mask in range(1 << (g.m if on_edges else g.n)):
+                    d = set(bits(mask))
+                    assert predicate(g, d) == ref(g, d), (g.edges, predicate.__name__, d)
+
+
+def test_predicates_reject_out_of_range_members():
+    for predicate, _, on_edges in PREDICATES:
+        error = EdgeRangeError if on_edges else VertexRangeError
+        for bad in (-1, 4):
+            with pytest.raises(error):
+                predicate(C4, [0, bad])
+
+
 def test_known_values():
     assert solve_min(Graph(2, [(0, 1)]), "dom").value == 1
     assert solve_min(Graph(2, [(0, 1)]), "tdom").value == 2
@@ -175,6 +206,9 @@ def test_infeasible_cases():
     with pytest.raises(InfeasibleError) as exc:
         solve_min(Graph(1), "tdom")
     assert exc.value.reason == "isolated_vertex"
+    assert str(exc.value) == (
+        "infeasible: isolated_vertex (total domination needs every vertex to have a neighbour)"
+    )
     with pytest.raises(InfeasibleError):
         solve_min(Graph(3, [(0, 1)]), "tdom")
     with pytest.raises(InfeasibleError):
@@ -182,6 +216,10 @@ def test_infeasible_cases():
     with pytest.raises(InfeasibleError) as exc:
         solve_min(Graph(2, [(0, 1)]), "eltd")
     assert exc.value.reason == "isolated_edge"
+    assert str(exc.value) == (
+        "infeasible: isolated_edge (edge-total domination needs every edge"
+        " to have an adjacent edge)"
+    )
     with pytest.raises(InfeasibleError):
         solve_min(Graph(4, [(0, 1), (2, 3)]), "eltd")
     # non-total variants always have the full ground set as fallback

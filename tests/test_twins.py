@@ -94,8 +94,10 @@ def test_twin_report_matches_set_definitions():
         assert not (set(rep.open_edge_pairs) & set(rep.closed_edge_pairs))
         for e, f in rep.open_edge_pairs:
             assert edge_nbrs(g, e) == edge_nbrs(g, f)
+            assert f not in edge_nbrs(g, e)  # open twins share no endpoint
         for e, f in rep.closed_edge_pairs:
             assert edge_nbrs(g, e) | {e} == edge_nbrs(g, f) | {f}
+            assert f in edge_nbrs(g, e)  # closed twins share exactly one
         for u, v in rep.open_vertex_pairs:
             assert nbrs(g, u) == nbrs(g, v)
         for u, v in rep.closed_vertex_pairs:

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -20,14 +20,13 @@ from locdom import (
     canonical_form,
     check_graph,
     enumerate_graphs,
-    graphs_with_open_edge_twins,
     iter_reports,
     named_graph,
     open_edge_twin_census,
     report_lines,
     twin_report,
 )
-from locdom.verify import _THEOREMS, _classified, _relabelings
+from locdom.verify import _THEOREMS, _classified, _open_twin_masks, _relabelings
 from conftest import nx_isomorphic, random_graph
 
 # labeled graph counts on n vertices: all, and connected
@@ -196,27 +195,17 @@ def test_isomorphism_examples():
 
 
 def test_inverted_open_twin_scan_matches_direct_scan():
-    for n in range(2, 6):
+    # every labeled graph, disconnected ones included: two disjoint edges
+    # are open twins of each other
+    for n in range(6):
+        slot = {p: i for i, p in enumerate(combinations(range(n), 2))}
         direct = {
-            g.edges
-            for g in enumerate_graphs(EnumerationSpec(n=n))
+            sum(1 << slot[e] for e in g.edges)
+            for g in enumerate_graphs(EnumerationSpec(n=n, connected_only=False))
             if twin_report(g).open_edge_pairs
         }
-        inverted = {g.edges for g in graphs_with_open_edge_twins(n)}
-        assert inverted == direct
-    # disconnected graphs join in when the filter is off: two disjoint
-    # edges are open twins of each other
-    with_disconnected = {
-        g.edges for g in graphs_with_open_edge_twins(4, connected_only=False)
-    }
-    matching = Graph(4, [(0, 1), (2, 3)])
-    assert matching.edges in with_disconnected
-    direct_all = {
-        g.edges
-        for g in enumerate_graphs(EnumerationSpec(n=4, connected_only=False))
-        if twin_report(g).open_edge_pairs
-    }
-    assert with_disconnected == direct_all
+        assert _open_twin_masks(n) == direct, n
+    assert (1 << 0 | 1 << 5) in _open_twin_masks(4)  # the matching 01, 23
 
 
 def test_open_twin_census_is_the_five_shapes():
@@ -228,6 +217,8 @@ def test_open_twin_census_is_the_five_shapes():
         assert sum(1 for t in targets if nx_isomorphic(rep, t)) == 1
     # distinct classes
     assert len({canonical_form(rep) for rep in census}) == 5
+    with pytest.raises(SizeLimitError):
+        open_edge_twin_census(9)
 
 
 def test_theorem_names_and_skip_reasons_are_frozen():
