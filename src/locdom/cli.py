@@ -146,9 +146,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for n in range(1, args.max_n + 1)
         ]
         reports = enumerated_reports(specs, args.theorem, summary)
+    write = sys.stdout.write
     for line in report_lines(reports):
-        print(line)
-    print(summary.to_json())
+        write(line + "\n")
+    write(summary.to_json() + "\n")
     return 3 if summary.violations else 0
 
 

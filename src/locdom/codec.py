@@ -4,7 +4,11 @@ graph6 is the compact ASCII format used by the common graph tool chains:
 one byte 63+n for the order, then the upper triangle of the adjacency
 matrix read column by column, packed big-endian into 6-bit groups offset
 by 63.  Only the short form (n <= 62) is supported; that is far beyond the
-exhaustive range anyway.
+exhaustive range anyway.  Both writers build a record as one integer with
+one byte per 6-bit group: the empty graph's record supplies the order byte
+and the 63 offsets, each edge adds its one bit, and a single `to_bytes`
+gives the ASCII text.  `mask_graph6` takes the added bits of each byte of an
+edge mask from a per-n table of 256 values.
 
 Reports are one JSON object per line with a fixed key order, so verification
 output can be streamed, diffed bytewise, and split across shards.
@@ -59,6 +63,8 @@ def parse_graph6(line: str) -> Graph:
     for byte in body:
         x = (x << 6) | (byte - 63)
     total = 6 * nbytes
+    if x & ((1 << (total - nbits)) - 1):
+        raise BadCharacterError(f"graph6 record for n={n} has nonzero padding bits")
     pairs = []
     t = 0
     for j in range(1, n):
@@ -73,15 +79,11 @@ def write_graph6(g: Graph) -> str:
     """Encode a graph as one short-form graph6 record."""
     if g.n > 62:
         raise SizeLimitError(f"graph6 short form caps at 62 vertices, got {g.n}")
-    n = g.n
-    nbits = n * (n - 1) // 2
-    x = 0
-    for j in range(1, n):
-        col = g.vadj[j]
-        for i in range(j):
-            x = (x << 1) | ((col >> i) & 1)
-    x <<= (-nbits) % 6
-    return _pack_graph6(n, x)
+    size, x = _graph6_layout(g.n)
+    # each payload byte already holds its offset 63, so bits are added, not or-ed
+    for u, v in g.edges:
+        x += _graph6_bit(size, u, v)
+    return x.to_bytes(size, "big").decode("ascii")
 
 
 def mask_graph6(n: int, mask: int) -> str:
@@ -90,33 +92,46 @@ def mask_graph6(n: int, mask: int) -> str:
 
     Lets a caller that holds only an edge mask skip building a Graph.
     """
+    size, tables = _graph6_tables(n)
     x = 0
-    for table in _graph6_tables(n):
-        x |= table[mask & 255]
+    for table in tables:
+        x += table[mask & 255]
         mask >>= 8
-    return _pack_graph6(n, x)
+    return x.to_bytes(size, "big").decode("ascii")
 
 
 @lru_cache(maxsize=None)
-def _graph6_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per byte of an edge mask, the padded graph6 payload bits of its 256 values."""
-    nbits = n * (n - 1) // 2
-    top = 6 * ((nbits + 5) // 6) - 1
-    slots = [1 << (top - (v * (v - 1) // 2 + u)) for u in range(n) for v in range(u + 1, n)]
-    return tuple(
+def _graph6_layout(n: int) -> tuple[int, int]:
+    """The byte count of an n-vertex record, and the record of the empty
+    graph on n vertices read as a big-endian integer."""
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    return 1 + nbytes, int.from_bytes(bytes([63 + n]) + b"?" * nbytes, "big")
+
+
+def _graph6_bit(size: int, u: int, v: int) -> int:
+    """The bit that edge (u, v), u < v, sets in a record of size bytes read
+    as a big-endian integer: pair k = v(v-1)/2 + u is bit 5 - k % 6 of
+    payload byte k // 6, which follows the order byte."""
+    group, offset = divmod(v * (v - 1) // 2 + u, 6)
+    return 1 << 8 * (size - 2 - group) + 5 - offset
+
+
+@lru_cache(maxsize=None)
+def _graph6_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The byte count of an n-vertex record and, per byte of an edge mask,
+    the record bits of its 256 values.  The first table also holds the
+    empty graph's record, so one value from each table adds up to a record."""
+    size, empty = _graph6_layout(n)
+    slots = [_graph6_bit(size, u, v) for u in range(n) for v in range(u + 1, n)]
+    return size, tuple(
         tuple(
-            sum(slot for k, slot in enumerate(slots[low:low + 8]) if value >> k & 1)
+            sum(
+                (slot for k, slot in enumerate(slots[low:low + 8]) if value >> k & 1),
+                0 if low else empty,
+            )
             for value in range(256)
         )
-        for low in range(0, nbits, 8)
-    )
-
-
-def _pack_graph6(n: int, x: int) -> str:
-    """The order byte, then x read big-endian in 6-bit groups, each offset by 63."""
-    nbytes = (n * (n - 1) // 2 + 5) // 6
-    return chr(63 + n) + "".join(
-        [chr(63 + ((x >> (6 * k)) & 63)) for k in range(nbytes - 1, -1, -1)]
+        for low in range(0, max(len(slots), 1), 8)  # n <= 1 still needs the first
     )
 
 
@@ -165,7 +180,10 @@ def report_lines(reports: Iterable["BoundReport"]) -> Iterator[str]:
     Members of an isomorphism class share their verdict and differ only in
     graph6, so each distinct verdict's tail (everything after graph6) is
     rendered once per call and reused.  The memo is keyed on plain values,
-    not on the BoundCheck, whose hash and equality run in Python.
+    not on the BoundCheck, whose hash and equality run in Python.  graph6
+    bytes lie in 63..126, where JSON escapes only the backslash, so graph6
+    is quoted by hand; a report whose graph6 holds other characters gives
+    a line that is not valid JSON.
     """
     tails: dict[tuple, str] = {}
     for rep in reports:
@@ -187,5 +205,5 @@ def report_lines(reports: Iterable["BoundReport"]) -> Iterator[str]:
                     bound=str(chk.bound),
                     margin=str(chk.bound - chk.value),
                 )
-            tail = tails[key] = ", " + json.dumps(record)[1:]
-        yield '{"graph6": ' + json.dumps(rep.graph6) + tail
+            tail = tails[key] = '", ' + json.dumps(record)[1:]
+        yield '{"graph6": "' + rep.graph6.replace("\\", "\\\\") + tail

@@ -31,7 +31,9 @@ from locdom import (
     write_edgelist,
     write_graph6,
 )
+from locdom.cli import main
 from locdom.codec import mask_graph6
+from locdom.verify import _mask_graph
 from conftest import random_graph, random_graph_capped
 
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -83,6 +85,17 @@ def test_write_size_cap():
     with pytest.raises(SizeLimitError):
         write_graph6(Graph(63))
     assert parse_graph6(write_graph6(Graph(62))) == Graph(62)
+    # the order byte, an empty payload, a last byte with padding, and the
+    # largest short-form records, empty, half full and complete
+    rng = random.Random(62)
+    for n in (0, 1, 2, 61, 62):
+        pairs = list(combinations(range(n), 2))
+        for edges in ([], [p for p in pairs if rng.random() < 0.5], pairs):
+            gx = nx.empty_graph(n)
+            gx.add_edges_from(edges)
+            g6 = write_graph6(Graph(n, edges))
+            assert g6 == nx.to_graph6_bytes(gx, header=False).decode().strip()
+            assert parse_graph6(g6) == Graph(n, edges)
 
 
 def test_alphabet_stays_printable():
@@ -117,6 +130,26 @@ def test_mask_graph6_against_networkx():
         gx = nx.empty_graph(n)
         gx.add_edges_from(p for k, p in enumerate(pairs) if mask >> k & 1)
         assert mask_graph6(n, mask) == nx.to_graph6_bytes(gx, header=False).decode().strip()
+
+
+def test_mask_graph6_matches_write_graph6_on_every_mask():
+    # every mask with n <= 6 covers both table bytes at n = 6 and n = 0, 1
+    for n in range(7):
+        for mask in range(1 << n * (n - 1) // 2):
+            assert mask_graph6(n, mask) == write_graph6(_mask_graph(n, mask)), (n, mask)
+
+
+def test_nonzero_padding_bits_are_rejected(tmp_path, capsys):
+    # each is a valid record (Bw is K3, A_ is K2, EhEG is C6) with its last
+    # padding bit set
+    for record in ("Bx", "A`", "EhEH"):
+        with pytest.raises(BadCharacterError, match="padding"):
+            parse_graph6(record)
+    path = tmp_path / "padded.g6"
+    path.write_text("Bx\n")
+    assert main(["verify", "--theorem", "weld_half", "--in", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "padding" in err
 
 
 def test_edgelist_roundtrip():

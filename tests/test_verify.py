@@ -311,6 +311,18 @@ def test_summary_counts_and_serialisation():
     )
 
 
+def test_bound_report_fields_and_checks():
+    chk = BoundCheck("weld", 3, Fraction(3), True)
+    checked = BoundReport(graph6="EhEG", n=6, m=6, check=chk, skipped_reason=None)
+    assert checked == BoundReport("EhEG", 6, 6, chk, None)
+    assert checked.checks == (chk,)
+    skipped = BoundReport("A_", 2, 1, None, "isolated_edge")
+    assert skipped == BoundReport(graph6="A_", n=2, m=1, check=None, skipped_reason="isolated_edge")
+    assert skipped.checks == ()
+    with pytest.raises(AttributeError):
+        skipped.n = 3
+
+
 def test_summary_registers_violations():
     summary = TheoremSummary("weld_half")
     fake = BoundReport(
