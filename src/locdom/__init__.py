@@ -73,7 +73,6 @@ from .verify import (
     canonical_form,
     check_graph,
     enumerate_graphs,
-    enumerated_reports,
     iter_reports,
     open_edge_twin_census,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "check_observation1",
     "edge_twin_masks",
     "enumerate_graphs",
-    "enumerated_reports",
     "is_connected",
     "is_dominating",
     "is_edge_dominating",

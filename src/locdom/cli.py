@@ -40,7 +40,7 @@ from .verify import (
     THEOREMS,
     EnumerationSpec,
     TheoremSummary,
-    enumerated_reports,
+    census_lines,
     iter_reports,
 )
 
@@ -140,16 +140,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     summary = TheoremSummary(args.theorem)
     if args.infile is not None:
         reports = iter_reports(_input_graphs(args), args.theorem, summary)
+        lines = (line + "\n" for line in report_lines(reports))
     else:
         specs = [
             EnumerationSpec(n, connected_only=not args.include_disconnected, shard=args.shard)
             for n in range(1, args.max_n + 1)
         ]
-        reports = enumerated_reports(specs, args.theorem, summary)
-    write = sys.stdout.write
-    for line in report_lines(reports):
-        write(line + "\n")
-    write(summary.to_json() + "\n")
+        lines = census_lines(specs, args.theorem, summary)
+    sys.stdout.writelines(lines)
+    sys.stdout.write(summary.to_json() + "\n")
     return 3 if summary.violations else 0
 
 

@@ -170,40 +170,33 @@ def write_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_lines(reports: Iterable["BoundReport"]) -> Iterator[str]:
-    """One JSON object per report: its bound check, or its skip reason.
+def report_tail(rep: "BoundReport") -> str:
+    """A report line after its graph6 value: n, m, then the verdict fields
+    (param, value, bound and margin, or skipped_reason), and the closing brace.
 
-    Key order is fixed (graph6, n, m, then the verdict fields) so equal runs
-    produce bytewise equal output.  `bound` and `margin` are exact rationals
-    written as strings, such as "10/3", "3" or "-1/3".
-
-    Members of an isomorphism class share their verdict and differ only in
-    graph6, so each distinct verdict's tail (everything after graph6) is
-    rendered once per call and reused.  The memo is keyed on plain values,
-    not on the BoundCheck, whose hash and equality run in Python.  graph6
-    bytes lie in 63..126, where JSON escapes only the backslash, so graph6
-    is quoted by hand; a report whose graph6 holds other characters gives
-    a line that is not valid JSON.
+    `bound` and `margin` are exact rationals written as strings, such as
+    "10/3", "3" or "-1/3".
     """
-    tails: dict[tuple, str] = {}
+    record = {"n": rep.n, "m": rep.m}
+    chk = rep.check
+    if chk is None:
+        record["skipped_reason"] = rep.skipped_reason
+    else:
+        record.update(
+            param=chk.parameter,
+            value=chk.value,
+            bound=str(chk.bound),
+            margin=str(chk.bound - chk.value),
+        )
+    return ", " + json.dumps(record)[1:]
+
+
+def report_lines(reports: Iterable["BoundReport"]) -> Iterator[str]:
+    """One JSON object per report, without its newline: graph6, then
+    report_tail.
+
+    Key order is fixed so equal runs produce bytewise equal output.  graph6
+    goes through `json.dumps`, so any string gives a valid JSON line.
+    """
     for rep in reports:
-        chk = rep.check
-        if chk is None:
-            key = (rep.n, rep.m, rep.skipped_reason)
-        else:
-            bound = chk.bound
-            key = (rep.n, rep.m, chk.parameter, chk.value, bound.numerator, bound.denominator)
-        tail = tails.get(key)
-        if tail is None:
-            record = {"n": rep.n, "m": rep.m}
-            if chk is None:
-                record["skipped_reason"] = rep.skipped_reason
-            else:
-                record.update(
-                    param=chk.parameter,
-                    value=chk.value,
-                    bound=str(chk.bound),
-                    margin=str(chk.bound - chk.value),
-                )
-            tail = tails[key] = '", ' + json.dumps(record)[1:]
-        yield '{"graph6": "' + rep.graph6.replace("\\", "\\\\") + tail
+        yield '{"graph6": ' + json.dumps(rep.graph6) + report_tail(rep)

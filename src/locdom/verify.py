@@ -9,21 +9,23 @@ writes the new class index into all n! relabelings of it (orbit marking,
 Read, "Every one a winner", 1978).  Every later mask of the class is
 classified by one table read, with no BFS and no Graph.  The relabelings
 are walked by adjacent label swaps in Steinhaus-Johnson-Trotter order,
-each swap two delta swaps on the mask.  The table is 64 KB at n = 6 and
-4 MB at n = 7; on CPython 3.11 the scan takes about 0.04 s at n = 6 and
-4 s at n = 7.  At n = 8 the table would be 512 MB, and the labeled loop
-over 2^28 masks is impractical anyway; that wants canonical augmentation.
+each swap two delta swaps on the mask, read from a per-n tuple of the swaps
+in walk order.  The table is 64 KB at n = 6 and 4 MB at n = 7; on CPython
+3.11 the scan takes about 0.06 s at n = 6 and 3-3.5 s at n = 7.  At n = 8
+the table would be 512 MB, and the labeled loop over 2^28 masks is
+impractical anyway; that wants canonical augmentation.
 
 Sharding deals the masks that pass the connectivity filter round-robin for
 embarrassingly parallel runs; each shard still scans every mask.
 Isomorphism dedup (off by default) keeps the first mask of each class
-within the shard.  `enumerated_reports`, which `locdom verify` runs, solves
-each class once and reuses the verdict for every later member.  What such a
+within the shard.  `census_lines`, which `locdom verify` runs, solves each
+class once and renders the class's line after graph6 then.  What a later
 member costs is one table read in the scan, its graph6 from the mask (a few
-table reads and one `to_bytes`), one `BoundReport` tuple, and one line of
-output from a memoized JSON tail.  Reusing verdicts is sound only because the
-verdict of every registered theorem (n, m, skip reason, value, bound and
-holds) is an isomorphism invariant; a theorem added here must keep it so.
+table reads and one `to_bytes`), three lookups and a count in per-class
+tables, and one string concatenation; no Graph or BoundReport is built for
+it.  Reusing verdicts is sound only because the verdict of every registered
+theorem (n, m, skip reason, value, bound and holds) is an isomorphism
+invariant; a theorem added here must keep it so.
 
 Every registered theorem has one shape, so `_THEOREMS` declares each as
 one row: under ordered preconditions (each a skip reason and the test that
@@ -54,7 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .codec import mask_graph6, write_graph6
+from .codec import mask_graph6, report_tail, write_graph6
 from .core import Graph, bits, is_connected, masks_connected
 from .errors import LocdomError, SizeLimitError
 from .linegraph import line_graph
@@ -118,34 +120,34 @@ def _plain_changes(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _label_swaps(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Per i, delta-swap masks that exchange labels i and i + 1 in an edge mask.
-
-    Slot (k, i) sits one before (k, i + 1) for k < i, and (i, k) sits
-    n - i - 2 before (i + 1, k) for k > i + 1; (i, i + 1) stays put.
-    """
+def _relabel_steps(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The delta swaps that walk an edge mask through its n! relabelings, in
+    _plain_changes order: swapping labels i and i + 1 moves the bits of slots
+    (k, i) up one for k < i, and those of (i, k) up n - i - 2 for k > i + 1,
+    while (i, i + 1) stays put."""
     index = _pair_index(n)
-    return tuple(
+    swaps = [
         (
             sum(1 << index[(k, i)] for k in range(i)),
             sum(1 << index[(i, k)] for k in range(i + 2, n)),
             n - i - 2,
         )
         for i in range(n - 1)
-    )
+    ]
+    return tuple(swaps[i] for i in _plain_changes(n))
 
 
-def _relabelings(mask: int, n: int) -> Iterator[int]:
-    """Yield the edge mask remapped by each of the n! permutations of range(n)."""
-    swaps = _label_swaps(n)
-    yield mask
-    for i in _plain_changes(n):
-        low, high, shift = swaps[i]
+def _relabelings(mask: int, n: int) -> list[int]:
+    """The edge mask remapped by each of the n! permutations of range(n)."""
+    out = [mask]
+    append = out.append
+    for low, high, shift in _relabel_steps(n):
         t = ((mask >> 1) ^ mask) & low
         mask ^= t | t << 1
         t = ((mask >> shift) ^ mask) & high
         mask ^= t | t << shift
-        yield mask
+        append(mask)
+    return out
 
 
 def _classified(spec: EnumerationSpec) -> Iterator[tuple[int, int]]:
@@ -259,10 +261,7 @@ class BoundCheck:
 
 
 class BoundReport(NamedTuple):
-    """One graph's verdict: a check, or the reason the theorem skipped it.
-
-    A named tuple, since the census builds one per labeled graph.
-    """
+    """One graph's verdict: a check, or the reason the theorem skipped it."""
 
     graph6: str
     n: int
@@ -396,27 +395,38 @@ def iter_reports(
         yield report
 
 
-def enumerated_reports(
-    specs: Iterable[EnumerationSpec], theorem: str, summary: "TheoremSummary | None" = None
-) -> Iterator[BoundReport]:
-    """The reports of iter_reports over enumerate_graphs(spec) for each spec in turn,
-    with check_graph run once per isomorphism class.
+def census_lines(
+    specs: Iterable[EnumerationSpec], theorem: str, summary: TheoremSummary
+) -> Iterator[str]:
+    """The lines of report_lines(iter_reports(...)) over enumerate_graphs(spec)
+    for each spec in turn, each ending in a newline, with summary fed too.
 
-    Later members of a class reuse the first member's verdict, its check or
-    its skip reason, and their graph6 is written straight from the mask, so
-    no Graph is built for them.
+    check_graph runs on each class's first member, and the class's line after
+    graph6 is rendered then; see the module docstring for what a later member
+    costs.  Member counts reach summary when each spec ends, and violating
+    members' graph6 as they stream.
     """
     for spec in specs:
-        verdicts: dict[int, tuple[BoundCheck | None, str | None]] = {}
+        n = spec.n
+        reports: dict[int, BoundReport] = {}
+        tails: dict[int, str] = {}
+        members: Counter = Counter()
+        failing: set[int] = set()
         for c, mask in _classified(spec):
-            verdict = verdicts.get(c)
-            if verdict is None:
-                report = check_graph(_mask_graph(spec.n, mask), theorem)
-                verdicts[c] = report.check, report.skipped_reason
+            tail = tails.get(c)
+            if tail is None:
+                report = reports[c] = check_graph(_mask_graph(n, mask), theorem)
+                tail = tails[c] = '"' + report_tail(report) + "\n"
+                if report.check is not None and not report.check.holds:
+                    failing.add(c)
+            members[c] += 1
+            g6 = mask_graph6(n, mask)
+            if c in failing:
+                summary.violations.append(g6)
+            # graph6 bytes lie in 63..126, where JSON escapes only the backslash
+            yield '{"graph6": "' + g6.replace("\\", "\\\\") + tail
+        for c, report in reports.items():
+            if report.skipped_reason is None:
+                summary.checked += members[c]
             else:
-                report = BoundReport(
-                    mask_graph6(spec.n, mask), spec.n, mask.bit_count(), *verdict
-                )
-            if summary is not None:
-                summary.add(report)
-            yield report
+                summary.skipped[report.skipped_reason] += members[c]

@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
@@ -14,17 +14,18 @@ import pytest
 
 from locdom import (
     THEOREMS,
-    BoundCheck,
-    BoundReport,
     EnumerationSpec,
     TheoremSummary,
+    canonical_form,
     enumerate_graphs,
     iter_reports,
     named_graph,
+    parse_graph6,
     report_lines,
     spider_weld_tree,
     write_graph6,
 )
+from locdom import verify
 from locdom.cli import main
 
 
@@ -300,12 +301,18 @@ def test_verify_usage_errors(tmp_path, capsys, monkeypatch):
 # in order, recorded before the theorems were declared as one table.
 PINNED_MAX_N_5 = "0c223955c79b98448174770cc29d121cb26e6f9d2861406a5ba2a3471391a6ed"
 PINNED_IN_FILE = "9bf459c351ea8bfef8d5c8ba7c49eae3d6709ff46369a59849d4d44cf110f031"
+# recorded before the census stream rendered each class's line tail once
+PINNED_MAX_N_6 = "c5bf08ebd11a8bd72f2110612e68a1e20bb3c0482d802fd9a2eb5e513b10f83b"
 
 
 def test_verify_output_of_every_theorem_is_pinned(tmp_path, capsys, monkeypatch):
     path = tmp_path / "graphs.g6"
     path.write_text("?\n@\nA?\nA_\nBw\nEhEG\nDQo\nG~~~~{\n")
-    runs = ((["--max-n", "5"], PINNED_MAX_N_5), (["--in", str(path)], PINNED_IN_FILE))
+    runs = (
+        (["--max-n", "5"], PINNED_MAX_N_5),
+        (["--in", str(path)], PINNED_IN_FILE),
+        (["--max-n", "6"], PINNED_MAX_N_6),
+    )
     for options, pinned in runs:
         outs = []
         for theorem in THEOREMS:
@@ -348,25 +355,36 @@ def test_closed_stdout_exits_one_without_traceback(tmp_path):
 
 
 def test_verify_exit_three_on_violation(capsys, monkeypatch):
-    fake_report = BoundReport(
-        graph6="FAKE",
-        n=5,
-        m=5,
-        check=BoundCheck("weld", 9, Fraction(5, 2), False),
-        skipped_reason=None,
-    )
+    # check_graph fails the paw and C4 classes, so their members interleave in
+    # the stream; the paw's members include C\, whose graph6 JSON escapes.
+    argv = ["verify", "--theorem", "weld_half", "--max-n", "5"]
+    rc, out, _ = run_cli(capsys, monkeypatch, argv)
+    assert rc == 0
+    honest = json.loads(out.splitlines()[-1])
+    failing = {canonical_form(parse_graph6(g6)) for g6 in ("C\\", "Cl")}
+    real_check = verify.check_graph
 
-    def fake_reports(specs, theorem, summary=None):
-        if summary is not None:
-            summary.add(fake_report)
-        yield fake_report
+    def fail_two_classes(g, theorem):
+        report = real_check(g, theorem)
+        if g.n == 4 and canonical_form(g) in failing:
+            return report._replace(check=replace(report.check, holds=False))
+        return report
 
-    monkeypatch.setattr("locdom.cli.enumerated_reports", fake_reports)
-    rc, out, _ = run_cli(capsys, monkeypatch, ["verify", "--theorem", "weld_half", "--max-n", "1"])
+    monkeypatch.setattr("locdom.verify.check_graph", fail_two_classes)
+    rc, out, _ = run_cli(capsys, monkeypatch, argv)
     assert rc == 3
     lines = out.splitlines()
-    assert json.loads(lines[0])["graph6"] == "FAKE"
-    assert json.loads(lines[-1])["violations"] == ["FAKE"]
+    summary = json.loads(lines[-1])
+    members = [
+        write_graph6(g)
+        for g in enumerate_graphs(EnumerationSpec(4))
+        if canonical_form(g) in failing
+    ]
+    assert summary["violations"] == members  # every member, raw, in stream order
+    assert "C\\" in members and members[0] != "C\\"
+    assert [json.loads(line)["graph6"] for line in lines[:-1]].count("C\\") == 1
+    assert summary["checked"] == honest["checked"]
+    assert summary["skipped"] == honest["skipped"]
 
 
 def test_encode_graph6_to_edgelist(capsys, monkeypatch):

@@ -238,8 +238,15 @@ def test_report_fractional_bound_serialisation():
     assert '"margin": "1/3"' in line
 
 
+def test_report_lines_are_json_for_any_graph6_text():
+    # not graph6, but a library caller may build such a report
+    texts = ['a"b', "\x01", "é", "C\\"]
+    reports = [BoundReport(text, 2, 1, None, "isolated_edge") for text in texts]
+    assert [json.loads(line)["graph6"] for line in report_lines(reports)] == texts
+
+
 def _per_record_json(rep):
-    """The report line from one json.dumps of the whole record, with no memo."""
+    """The report line from one json.dumps of the whole record."""
     record = {"graph6": rep.graph6, "n": rep.n, "m": rep.m}
     chk = rep.check
     if chk is None:
