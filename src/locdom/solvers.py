@@ -21,27 +21,36 @@ Meeting a mask survives adding elements, so feasibility is closed under
 supersets, and a mask that contains another member is redundant; the
 locating families keep only the members that contain no other.
 
-`solve_min` runs iterative deepening over the subset size k; for each k it
-enumerates k-subsets in lexicographic order and returns the first one that
-meets every member, so the reported witness is the lexicographically least
-optimum and repeated runs are byte-identical.  The search state is the set
-of members hit so far, and no branch is called only to die on entry:
+`solve_min` runs one depth-first branch and bound (Land & Doig, 1960) over
+prefixes in lexicographic order.  It keeps the smallest set found so far,
+and its size less one is the budget: a branch is worth entering only if it
+can still hold a smaller set.  The search state is the set of members hit
+so far, and no branch is called only to die on entry:
 
 - the scan over the next element j stops once a member whose highest
   element lies below j is unhit, since neither j nor any later element
   can hit it;
-- a branch is entered only when its unhit members number at most its free
-  slots times the most members any one element hits, and a size k is
-  skipped when the whole family exceeds k times that;
+- a branch is entered only when its unhit members number at most the
+  elements it may still add under the budget times the most members any
+  one element hits;
 - the last slot takes no call: its element lies in every unhit member, so
-  only the elements above j of the lowest unhit member are tried, in
+  only the elements above j of the two lowest unhit members are tried, in
   increasing order, and the first whose hits cover all unhit members
   completes the set.
 
-Each cut removes only branches that hold no feasible set, and the last
-slot tries every element that can complete the set in the order the plain
-scan would, so the first hit in lexicographic order is still the least
-witness.
+A prefix that meets every member ends its node, since its later siblings
+only give sets of the same size that come later.  A last-slot completion
+only tightens the budget: a later sibling may still complete alone, one
+element smaller.  The search stops at the first set whose size a lower
+bound proves optimal (one element, the family over the widest element's
+hits, and for strict location a count of traces).
+
+Sets of one size are met in lexicographic order.  Each cut removes only
+branches that hold no set under the budget, and the budget never drops
+below the optimum before a set of that size is found, so every earlier
+set of the optimum size was met first.  The first set met at the optimum
+size is therefore the lexicographically least optimum, and repeated runs
+are byte-identical.
 
 The seven public `is_*` predicates are two tests on traces N(x) ∩ D over
 `g.vadj`, or over `g.eadj`, the vertex adjacency of L(G): domination wants
@@ -235,9 +244,9 @@ def solve_min(g: Graph, parameter: "str | Parameter") -> SolveResult:
     param = parse_parameter(parameter)
     ground, family = _constraint_masks(g, param)
     # Strict location needs ground - k distinct nonempty traces on a k-set,
-    # so k-subsets with 2^k - 1 < ground - k cannot work and the deepening
-    # can start past them.  Twin exemptions void this bound for the weak
-    # variant (a star has weak value 1 at any size).
+    # so k-subsets with 2^k - 1 < ground - k cannot work, and a set of the
+    # first size past them ends the search.  Twin exemptions void this bound
+    # for the weak variant (a star has weak value 1 at any size).
     first_k = 0
     if param.locating and param is not Parameter.WEAK_EDGE_LOC_DOM:
         while ground - first_k > (1 << first_k) - 1:
@@ -250,7 +259,13 @@ def _least_hitting_set(ground: int, family: list[int], first_k: int) -> tuple[in
     """Smallest subset of range(ground) that meets every mask in family,
     lexicographically least among the smallest.  Every mask is a nonempty
     subset of range(ground), the first ground masks are symmetric (j lies in
-    mask i exactly when i lies in mask j), and no size below first_k works."""
+    mask i exactly when i lies in mask j), and no size below first_k works.
+
+    One depth-first pass over prefixes in lexicographic order enters only
+    branches that can still hold a set smaller than the best so far.  Sets
+    of one size are met in lexicographic order, and no cut removes a set of
+    the optimum size before one is met, so the first one met is the least.
+    """
     if not family:
         return 0, 0
     full = (1 << len(family)) - 1
@@ -266,43 +281,57 @@ def _least_hitting_set(ground: int, family: list[int], first_k: int) -> tuple[in
             mask ^= low
     later = list(accumulate(reversed(hits), or_))[::-1]
     widest = max(map(int.bit_count, hits))
+    # No set is smaller than first_k, than one element, or than the family
+    # over the most members one element meets: a set of this size is optimal.
+    floor = max(first_k, 1, -(-len(family) // widest))
+    # The whole ground set always works, so the budget starts above it.
+    best, least = ground + 1, 0
 
-    def dfs(start: int, slots: int, hit: int, chosen: int):
-        for j in range(start, ground - slots + 1):
+    def dfs(start: int, size: int, hit: int, chosen: int) -> bool:
+        """Extend chosen (size elements, all below start); True once a set
+        of the floor size is found, which ends the search."""
+        nonlocal best, least
+        for j in range(start, ground):
             # An unhit member wholly below j is missed by j and by every
             # later element, so no later branch can succeed either.
             if hit | later[j] != full:
-                return None
+                return False
             now = hit | hits[j]
             if now == full:
-                return chosen | 1 << j
-            # Choosing j leaves rest unhit.  Every member below j + 1 is hit
-            # now (those below j by the test above, the others contain j),
-            # so a child could only die on the width bound: test it here.
+                # Later siblings only give sets of this size that come
+                # later, and deeper sets are larger.
+                best, least = size + 1, chosen | 1 << j
+                return best == floor
+            # Choosing j leaves rest unhit, and a set under the budget has
+            # room for slots more elements.  Every member below j + 1 is
+            # hit now (those below j by the test above, the others contain
+            # j), so a child could only die on the width bound: test it here.
+            slots = best - 2 - size
             rest = full ^ now
-            if slots == 1 or rest.bit_count() > (slots - 1) * widest:
+            if rest.bit_count() > slots * widest:
                 continue
-            if slots == 2:
+            if slots == 1:
                 # The last element lies in every unhit member, so it is an
-                # element above j of the lowest one; try those in order.
-                above = family[(rest & -rest).bit_length() - 1] >> j + 1 << j + 1
+                # element above j of the two lowest; try those in order.
+                # A hit tightens the budget, and the loop goes on: a later
+                # sibling may still complete alone, one element smaller.
+                low = rest & -rest
+                second = rest ^ low
+                above = family[low.bit_length() - 1] >> j + 1 << j + 1
+                if second:
+                    above &= family[(second & -second).bit_length() - 1]
                 while above:
-                    low = above & -above
-                    if hits[low.bit_length() - 1] & rest == rest:
-                        return chosen | 1 << j | low
-                    above ^= low
+                    last = above & -above
+                    if hits[last.bit_length() - 1] & rest == rest:
+                        best, least = size + 2, chosen | 1 << j | last
+                        if best == floor:
+                            return True
+                        break
+                    above ^= last
                 continue
-            found = dfs(j + 1, slots - 1, now, chosen | 1 << j)
-            if found is not None:
-                return found
-        return None
+            if dfs(j + 1, size + 1, now, chosen | 1 << j):
+                return True
+        return False
 
-    # A full hit before all k slots are used cannot happen: that smaller set
-    # would have been found at a shallower k.
-    for k in range(max(first_k, 1), ground + 1):
-        if len(family) > k * widest:  # the width bound at the root
-            continue
-        found = dfs(0, k, 0, 0)
-        if found is not None:
-            return k, found
-    raise AssertionError("unreachable: the full ground set is always feasible here")
+    dfs(0, 0, 0, 0)
+    return best, least

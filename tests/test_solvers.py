@@ -324,6 +324,7 @@ def _random_family(rng: random.Random, ground: int) -> list[int]:
 def test_least_hitting_set_matches_brute_force_on_random_families():
     rng = random.Random(20261018)
     optima = set()
+    stops = set()
     top_chosen = 0
     for _ in range(600):
         ground = rng.randrange(1, 9)
@@ -336,16 +337,41 @@ def test_least_hitting_set_matches_brute_force_on_random_families():
         )
         size, mask = _least_hitting_set(ground, family, 0)
         assert (size, tuple(bits(mask))) == expected, (ground, family)
+        # A true lower bound only lets the search stop sooner: at the
+        # optimum it stops at the first set of that size it meets.
+        for first_k in (size, size - 1):
+            assert _least_hitting_set(ground, family, first_k) == (size, mask), (
+                ground, family, first_k,
+            )
+        widest = max(sum(m >> x & 1 for m in family) for x in range(ground))
+        floor = max(1, -(-len(family) // widest))
+        stops.add("floor" if size == floor else "exhausted")
         optima.add("ground" if size == ground >= 3 else size)
         top_chosen += mask >> ground - 1 & 1
-    # The cases the search treats apart: the root alone, the last slot filled
-    # at the root, every element needed, and the highest element chosen.
+    # The cases the search treats apart: an optimum at the counting floor
+    # ends the search, one above it must outlast every smaller budget; the
+    # root alone, the last slot filled at the root, every element needed,
+    # and the highest element chosen.
+    assert stops == {"floor", "exhausted"}
     assert {1, 2, 3, "ground"} <= optima
     assert top_chosen
 
 
-# Values and least witnesses beyond brute-force reach, recorded from the
-# leaf-checking solver that the hitting-set search replaced.
+def test_least_hitting_set_improves_on_the_first_set_it_meets():
+    # Closed neighbourhoods of a claw whose centre is the last element: the
+    # pass meets {0, 1, 2}, then {0, 3}, and only then the optimum {3}.
+    claw = [0b1001, 0b1010, 0b1100, 0b1111]
+    assert _least_hitting_set(4, claw, 0) == (1, 0b1000)
+    # Member 0 is {1} and member 1 is {0, 1}.  At the root, element 0 fills
+    # the last slot with 1, giving {0, 1}; its sibling 1 alone then hits
+    # both members, so a last-slot hit must not end its node.
+    assert _least_hitting_set(2, [0b10, 0b11], 0) == (1, 0b10)
+
+
+# Values and least witnesses beyond brute-force reach.  The first ten were
+# recorded from the leaf-checking solver that the hitting-set search
+# replaced, the m = 25..31 edge rows from the search by increasing size that
+# the single branch-and-bound pass replaced.
 PINNED = [
     ("JjPOWjs?G@?", "weld", 5, (0, 1, 2, 9, 13)),  # two edge-twins
     ("Nk_PH?AcJG@CO?O?G??", "weld", 6, (0, 1, 2, 9, 11, 18)),  # three edge-twins
@@ -357,6 +383,15 @@ PINNED = [
     ("KkGGGcOWoIGC", "eltd", 6, (0, 4, 7, 9, 10, 14)),
     ("Oi`?aaC?KG?OG@?dA???G", "dom", 5, (0, 1, 3, 8, 11)),
     ("Lnq?S?Hg?`?A?@", "tdom", 5, (0, 3, 4, 9, 11)),
+    ("Jzo}VGxiLi_", "eld", 7, (0, 1, 2, 18, 19, 28, 30)),  # m 31
+    ("Jzo}VGxiLi_", "eltd", 7, (0, 1, 2, 18, 19, 28, 30)),
+    ("Jzo}VGxiLi_", "weld", 7, (0, 1, 2, 18, 19, 28, 30)),
+    ("JOKgnkQGxz?", "eld", 6, (0, 1, 8, 14, 15, 20)),  # m 25
+    ("JOKgnkQGxz?", "eltd", 6, (0, 1, 8, 14, 15, 20)),
+    ("JOKgnkQGxz?", "weld", 6, (0, 1, 8, 14, 15, 20)),
+    ("JJ[vb|{QiP_", "eld", 6, (1, 2, 20, 21, 27, 30)),  # m 31
+    ("JJ[vb|{QiP_", "eltd", 6, (1, 2, 20, 21, 27, 30)),
+    ("JJ[vb|{QiP_", "weld", 6, (1, 2, 20, 21, 27, 30)),
 ]
 
 
