@@ -182,23 +182,19 @@ def _parse_edgelist_stream(text: str) -> list[Graph]:
 
 
 def _shard_arg(text: str) -> tuple[int, int]:
-    try:
-        index_s, total_s = text.split("/", 1)
-        index, total = int(index_s), int(total_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"shard must look like 'i/t', got {text!r}"
-        ) from None
+    index_s, _, total_s = text.partition("/")
+    if not (_is_int(index_s) and _is_int(total_s)):
+        raise argparse.ArgumentTypeError(f"shard must look like 'i/t', got {text!r}")
+    index, total = int(index_s), int(total_s)
     if total < 1 or not 0 <= index < total:
         raise argparse.ArgumentTypeError(f"need 0 <= i < t in shard {text!r}")
     return index, total
 
 
 def _max_n_arg(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--max-n needs an integer, got {text!r}") from None
+    if not _is_int(text):
+        raise argparse.ArgumentTypeError(f"--max-n needs an integer, got {text!r}")
+    n = int(text)
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise argparse.ArgumentTypeError(
             f"--max-n must be in [1, {MAX_ENUM_VERTICES}], got {n}"

@@ -17,6 +17,7 @@ output can be streamed, diffed bytewise, and split across shards.
 from __future__ import annotations
 
 import json
+import re
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -140,15 +141,12 @@ def parse_edgelist(text: str) -> Graph:
     tokens = text.split()
     if len(tokens) < 2:
         raise HeaderMismatchError("edge list needs an 'n m' header")
-    try:
-        nums = [int(t) for t in tokens]
-    except ValueError:
-        bad = next(t for t in tokens if not _is_int(t))
-        raise CodecError(f"non-integer token {bad!r} in edge list") from None
-    n, m = nums[0], nums[1]
+    bad = next((t for t in tokens if not _is_int(t)), None)
+    if bad is not None:
+        raise CodecError(f"non-integer token {bad!r} in edge list")
+    n, m, *body = map(int, tokens)
     if m < 0:
         raise HeaderMismatchError(f"negative edge count {m}")
-    body = nums[2:]
     if len(body) != 2 * m:
         raise HeaderMismatchError(
             f"header declares {m} edges ({2 * m} endpoints) but body has {len(body)} tokens"
@@ -157,11 +155,9 @@ def parse_edgelist(text: str) -> Graph:
 
 
 def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
+    """An optional sign and the digits 0-9: `int` alone would also take
+    underscores and non-ASCII digits."""
+    return re.fullmatch("[+-]?[0-9]+", token) is not None
 
 
 def write_edgelist(g: Graph) -> str:

@@ -6,7 +6,8 @@ its canonical index, and every other module (solvers, codecs, reports) refers
 to edges by that index.  Adjacency is precomputed two ways as Python ints
 used as bitsets: neighbour mask per vertex and adjacent-edge mask per edge.
 Feasibility loops elsewhere then reduce to integer AND/OR, which is what
-keeps exhaustive runs affordable.
+keeps exhaustive runs affordable.  `bfs_layers`, the package's one
+breadth-first search, serves both connectivity and the tree construction.
 
 No size caps: Python ints are unbounded, so a graph of any order or size
 fits the bitsets; exact solving, not the representation, is what limits
@@ -121,23 +122,29 @@ class Graph:
         return f"Graph({self.n}, {list(self.edges)})"
 
 
+def bfs_layers(adj: Sequence[int], root: int, within: int) -> list[int]:
+    """Vertex masks of the vertices at distance 0, 1, ... from root in the
+    subgraph that the vertex mask `within` (which holds root) induces."""
+    layers = []
+    seen = frontier = 1 << root
+    while frontier:
+        layers.append(frontier)
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return layers
+
+
 def masks_connected(adj: Sequence[int]) -> bool:
     """True when the graph with neighbour masks adj has at most one component.
 
     Takes the raw masks so that the enumerator can filter a candidate before
     it builds a Graph; vacuously true for fewer than two vertices.
     """
-    if len(adj) <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << len(adj)) - 1
+    full = (1 << len(adj)) - 1
+    return len(adj) <= 1 or sum(bfs_layers(adj, 0, full)) == full
 
 
 def is_connected(g: Graph) -> bool:

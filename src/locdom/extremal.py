@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .core import Graph, bits, is_connected
+from .core import Graph, bfs_layers, bits, is_connected
 from .errors import (
     DiameterTooSmallError,
     EdgeTwinsError,
@@ -91,88 +91,56 @@ def named_graph(name: str) -> Graph:
     raise LocdomError(f"unknown graph name {name!r}")
 
 
-def _ecc_and_diam(adj: dict[int, set[int]]) -> tuple[dict[int, int], int]:
-    ecc = {}
-    for s in adj:
-        dist = {s: 0}
-        queue = [s]
-        for v in queue:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        ecc[s] = max(dist.values())
-    return ecc, max(ecc.values())
-
-
-def _nonpendant_pairs(adj: dict[int, set[int]]) -> set[frozenset[int]]:
-    return {
-        frozenset((a, b))
-        for a in adj
-        for b in adj[a]
-        if a < b and len(adj[a]) >= 2 and len(adj[b]) >= 2
-    }
-
-
-def _construct(adj: dict[int, set[int]], ecc: dict[int, int], diam: int) -> set[frozenset[int]]:
-    if diam <= 6:
-        return _nonpendant_pairs(adj)
-    root = min(v for v in adj if ecc[v] == diam)
-    depth = {root: 0}
-    parent = {root: -1}
-    queue = [root]
-    for v in queue:
-        for w in adj[v]:
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                queue.append(w)
-    u = min(v for v in adj if depth[v] == diam)
-    v = parent[u]
-    w = parent[v]
-    x = parent[w]
-    y = parent[x]
-
-    desc = set()
-    stack = [c for c in adj[x] if c != y]
-    while stack:
-        c = stack.pop()
-        desc.add(c)
-        stack.extend(d for d in adj[c] if d != x and d not in desc)
-
-    y_has_leaf = any(len(adj[z]) == 1 for z in adj[y])
-    removed = desc | {x} if y_has_leaf else desc
-    sub = {a: {b for b in adj[a] if b not in removed} for a in adj if a not in removed}
-    out = _construct(sub, *_ecc_and_diam(sub))
-
-    out.add(frozenset((x, w)))
-    tx = desc | {x}
-    tx_deg = {a: sum(1 for b in adj[a] if b in tx) for a in tx}
-    for a in tx:
-        for b in adj[a]:
-            if b in tx and a < b and tx_deg[a] >= 2 and tx_deg[b] >= 2:
-                out.add(frozenset((a, b)))
-    return out
+def _inner_edges(g: Graph, within: int) -> set[int]:
+    """Ids of the non-pendant edges of the subgraph that the vertex mask
+    `within` induces: both ends have degree >= 2 inside it."""
+    inner = sum(1 << v for v in bits(within) if (g.vadj[v] & within).bit_count() >= 2)
+    return {i for i, (a, b) in enumerate(g.edges) if inner >> a & 1 and inner >> b & 1}
 
 
 def tree_eltd_construct(g: Graph) -> frozenset[int]:
     """Edge-locating-total-dominating set of an edge-twin-free tree, size <= 2m/3.
 
-    Base case (diameter 4 to 6): all non-pendant edges.  Otherwise root at
-    the smallest-id endpoint of a longest path, walk four parents up from
-    the smallest-id deepest leaf (u, v, w, x, y), recurse on the tree minus
-    x's closed descendants when y has a leaf-neighbour and minus x's proper
-    descendants otherwise, then add the edge xw and the non-pendant edges
-    of the subtree hanging at x.  Every tie breaks to the smallest vertex
-    id, so the output is deterministic.
+    A loop over the alive part of the tree, at first all of it.  At diameter
+    4 to 6, take its non-pendant edges and stop.  Otherwise root it at the
+    smallest-id vertex of largest eccentricity, walk four parents up from the
+    smallest-id deepest leaf (u, v, w, x, y), take the edge xw and the
+    non-pendant edges of the subtree at x, and drop x's closed descendants
+    when y has a leaf-neighbour, its proper descendants otherwise.  Every tie
+    breaks to the smallest vertex id, so the output is deterministic.
+
+    Four breadth-first sweeps per round find the root.  The farthest vertex
+    a from any vertex ends a longest path, so the sweep from a gives the
+    diameter, and its farthest layer b holds the ends of longest paths on
+    the far side of the centre.  Every longest path crosses the centre, so
+    the sweep from a vertex of b has the other ends in its farthest layer.
+    The fourth sweep, from the smallest end, gives the depths.
     """
     if not (is_connected(g) and g.m == g.n - 1):
         raise NotATreeError("the construction is defined on trees")
     if not is_edge_twin_free(g):
         raise EdgeTwinsError("the construction requires an edge-twin-free tree")
-    adj = {vtx: set(bits(g.vadj[vtx])) for vtx in range(g.n)}
-    ecc, diam = _ecc_and_diam(adj)
-    if diam < 4:
-        raise DiameterTooSmallError(f"need diameter >= 4, got {diam}")
-    pairs = _construct(adj, ecc, diam)
-    return frozenset(g.edge_id(min(p), max(p)) for p in pairs)
+    adj = g.vadj
+    full = alive = (1 << g.n) - 1
+    out: set[int] = set()
+    while True:
+        a = next(bits(bfs_layers(adj, next(bits(alive)), alive)[-1]))
+        from_a = bfs_layers(adj, a, alive)
+        diam = len(from_a) - 1
+        if diam < 4 and alive == full:  # later rounds may go below 4
+            raise DiameterTooSmallError(f"need diameter >= 4, got {diam}")
+        if diam <= 6:
+            return frozenset(out | _inner_edges(g, alive))
+        b = from_a[-1]
+        ends = b | bfs_layers(adj, next(bits(b)), alive)[-1]
+        layer = bfs_layers(adj, next(bits(ends)), alive)
+        u = next(bits(layer[diam]))
+        v = next(bits(adj[u] & layer[diam - 1]))
+        w = next(bits(adj[v] & layer[diam - 2]))
+        x = next(bits(adj[w] & layer[diam - 3]))
+        y = next(bits(adj[x] & layer[diam - 4]))
+        sub = sum(bfs_layers(adj, x, alive & ~(1 << y)))
+        out |= _inner_edges(g, sub)
+        out.add(g.edge_id(x, w))
+        y_has_leaf = any((adj[z] & alive).bit_count() == 1 for z in bits(adj[y] & alive))
+        alive &= ~sub if y_has_leaf else ~sub | 1 << x

@@ -11,7 +11,7 @@ classified by one table read, with no BFS and no Graph.  The relabelings
 are walked by adjacent label swaps in Steinhaus-Johnson-Trotter order,
 each swap two delta swaps on the mask, read from a per-n tuple of the swaps
 in walk order.  The table is 64 KB at n = 6 and 4 MB at n = 7; on CPython
-3.11 the scan takes about 0.06 s at n = 6 and 3-3.5 s at n = 7.  At n = 8
+3.11 the scan takes about 0.07 s at n = 6 and 3-3.5 s at n = 7.  At n = 8
 the table would be 512 MB, and the labeled loop over 2^28 masks is
 impractical anyway; that wants canonical augmentation.
 

@@ -177,6 +177,23 @@ def test_gen_usage_errors(capsys, monkeypatch):
         assert exc.value.code == 2
 
 
+def test_integer_arguments_are_ascii_decimals(capsys, monkeypatch):
+    encode = ["encode", "--from", "edgelist", "--to", "graph6"]
+    for bad in ("1_1", "\u0662", "\uff13"):
+        for stdin in (f"3 1\n0 {bad}\n", f"3 {bad}\n0 1\n"):
+            rc, out, err = run_cli(capsys, monkeypatch, encode, stdin=stdin)
+            assert (rc, out) == (1, "") and "non-integer" in err
+        for argv in (
+            ["gen", "--family", "spider", bad, "0"],
+            ["gen", "--family", "substar", bad],
+            ["verify", "--theorem", "weld_half", "--max-n", bad],
+            ["verify", "--theorem", "weld_half", "--shard", f"0/{bad}"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+
 def test_gen_domain_errors_exit_one(capsys, monkeypatch):
     rc, out, err = run_cli(capsys, monkeypatch, ["gen", "--family", "substar", "1"])
     assert rc == 1 and out == "" and err.startswith("error:")

@@ -179,6 +179,16 @@ def test_edgelist_errors():
         parse_edgelist("2 1\n0 5")
 
 
+def test_edgelist_integers_are_ascii_decimals():
+    # int() alone reads "1_1" as 11 and takes Arabic-Indic and fullwidth digits
+    for bad in ("1_1", "\u0662", "\uff13"):
+        with pytest.raises(CodecError, match="non-integer"):
+            parse_edgelist(f"3 1\n0 {bad}")
+        with pytest.raises(CodecError, match="non-integer"):
+            parse_edgelist(f"{bad} 0")
+    assert parse_edgelist("+3 1\n+0 2") == Graph(3, [(0, 2)])
+
+
 FUZZ = settings(max_examples=200, derandomize=True, database=None)
 TOKENS = st.lists(
     st.one_of(

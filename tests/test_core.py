@@ -16,6 +16,7 @@ from locdom import (
     enumerate_graphs,
     is_connected,
 )
+from locdom.core import bfs_layers
 from conftest import random_graph, to_networkx
 
 
@@ -134,3 +135,20 @@ def test_is_connected_matches_networkx_on_every_small_labeled_graph():
         assert [g for g in graphs if is_connected(g)] == connected
         # the enumerator's filter runs the same scan on raw masks
         assert list(enumerate_graphs(EnumerationSpec(n))) == connected
+
+
+def test_bfs_layers_match_networkx_distances():
+    # every labeled graph n <= 5, every root, inside all vertices or all but one
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        for g in enumerate_graphs(EnumerationSpec(n, connected_only=False)):
+            h = to_networkx(g)
+            for root in range(n):
+                for drop in [None] + [v for v in range(n) if v != root]:
+                    within = full if drop is None else full & ~(1 << drop)
+                    sub = h.subgraph(v for v in range(n) if v != drop)
+                    dist = nx.single_source_shortest_path_length(sub, root)
+                    expected = [0] * (max(dist.values()) + 1)
+                    for v, d in dist.items():
+                        expected[d] |= 1 << v
+                    assert bfs_layers(g.vadj, root, within) == expected

@@ -1,5 +1,7 @@
 """Extremal families, the named-graph catalogue, and the tree construction."""
 
+import hashlib
+import json
 import random
 
 import networkx as nx
@@ -141,7 +143,7 @@ def _check_construct(g):
 
 
 def test_construct_on_deep_handcrafted_trees():
-    # long paths take the recursion branch several times
+    # long paths go round the loop several times
     for n in (9, 10, 11, 12, 15):
         _check_construct(named_graph(f"P{n}"))
     # a mid-path leaf makes the fourth parent up own a leaf-neighbour
@@ -149,6 +151,30 @@ def test_construct_on_deep_handcrafted_trees():
     _check_construct(path_with_leaf)
     deep_spider = spider_weld_tree(0, 2)
     _check_construct(deep_spider)
+    # too large for solve_min; each takes the loop through dozens of rounds
+    for g in (named_graph("P200"), spider_weld_tree(0, 30)):
+        _check_construct(g)
+
+
+def test_construct_output_pinned():
+    # exact sets and error types on 5,092 trees, 532 of them constructed
+    rng = random.Random(20261018)
+    cases = [named_graph(f"P{n}") for n in range(1, 61)]
+    cases += [subdivided_star_eltd(k) for k in range(2, 10)]
+    cases += [
+        spider_weld_tree(k2, k4) for k2 in range(5) for k4 in range(5) if k2 + k4 > 0
+    ]
+    cases += [random_tree(rng, rng.randrange(1, 40)) for _ in range(5000)]
+    out = []
+    for g in cases:
+        try:
+            out.append(sorted(tree_eltd_construct(g)))
+        except LocdomError as exc:
+            out.append(type(exc).__name__)
+    assert len(out) == 5092
+    assert sum(isinstance(o, list) for o in out) == 532
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "00d9523fb10213ec85d976ebe0fd828a475e4646d3f4301498d7bb657efe71a7"
 
 
 def test_construct_on_random_trees():
