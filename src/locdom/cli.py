@@ -135,8 +135,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.infile is not None and args.shard != (0, 1):
-        args.parser.error("--shard applies to internal enumeration, not --in files")
+    census_options = (args.max_n, args.shard, args.include_disconnected)
+    if args.infile is not None and census_options != (None, (0, 1), False):
+        args.parser.error(
+            "--max-n, --shard and --include-disconnected apply to the census, not --in files"
+        )
     summary = TheoremSummary(args.theorem)
     if args.infile is not None:
         reports = iter_reports(_input_graphs(args), args.theorem, summary)
@@ -144,7 +147,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         specs = [
             EnumerationSpec(n, connected_only=not args.include_disconnected, shard=args.shard)
-            for n in range(1, args.max_n + 1)
+            for n in range(1, (args.max_n or 6) + 1)
         ]
         lines = census_lines(specs, args.theorem, summary)
     sys.stdout.writelines(lines)
@@ -245,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="stream bound-check reports plus a summary")
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument(
-        "--max-n", type=_max_n_arg, default=6, dest="max_n", metavar="N",
+        "--max-n", type=_max_n_arg, dest="max_n", metavar="N",
         help="census of every order 1..N (default 6); N = 8 scans 2^28 masks"
         " and needs a 512 MB class table",
     )

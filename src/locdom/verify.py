@@ -65,14 +65,6 @@ from .twins import check_observation1, is_edge_twin_free
 
 MAX_ENUM_VERTICES = 8
 
-SKIP_REASONS = (
-    "isolated_edge",
-    "isolated_vertex",
-    "not_edge_twin_free",
-    "disconnected",
-    "size_mismatch",
-)
-
 
 @dataclass(frozen=True)
 class EnumerationSpec:
@@ -336,6 +328,10 @@ _THEOREMS = {
 }
 
 THEOREMS = tuple(_THEOREMS)
+# every skip reason a row names, in first-appearance order over THEOREMS
+SKIP_REASONS = tuple(
+    dict.fromkeys(reason for row in _THEOREMS.values() for reason, _ in row.preconditions)
+)
 
 
 def check_graph(g: Graph, theorem: str) -> BoundReport:

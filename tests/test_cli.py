@@ -28,6 +28,14 @@ from locdom import (
 from locdom import verify
 from locdom.cli import main
 
+# The environment of `python -m locdom.cli` subprocesses: pytest's own
+# `pythonpath` setting changes only its sys.path, so src goes on PYTHONPATH.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
+
 
 def run_cli(capsys, monkeypatch, argv, stdin=None):
     if stdin is not None:
@@ -96,12 +104,11 @@ def test_unreadable_input_file_exits_without_traceback(tmp_path, command, kind, 
         "non_utf8": tmp_path / "bytes.g6",
     }
     paths["non_utf8"].write_bytes(b"\xff\xfe\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "locdom.cli", *command, "--in", str(paths[kind])],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env=CLI_ENV,
         timeout=60,
     )
     assert proc.returncode == code
@@ -112,12 +119,11 @@ def test_unreadable_input_file_exits_without_traceback(tmp_path, command, kind, 
 
 def test_undecodable_stdin_exits_without_traceback():
     # Under a strict stdin error handler the bytes still reach the parser.
-    src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "locdom.cli", "solve", "--param", "dom"],
         input=b"\xff\xfe\n",
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8:strict"},
+        env={**CLI_ENV, "PYTHONIOENCODING": "utf-8:strict"},
         timeout=60,
     )
     assert proc.returncode == 1
@@ -232,18 +238,17 @@ def test_verify_from_file(tmp_path, capsys, monkeypatch):
 def test_verify_census_ignores_piped_stdin():
     # Without --in, verify runs its --max-n census and leaves stdin unread;
     # --in /dev/stdin is the way to check piped graphs.
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    argv = [sys.executable, "-m", "locdom.cli", "verify", "--theorem", "obs1", "--max-n", "3"]
+    argv = [sys.executable, "-m", "locdom.cli", "verify", "--theorem", "obs1"]
 
     def run(extra, stdin):
         proc = subprocess.run(
-            argv + extra, input=stdin, capture_output=True, text=True, env=env, timeout=60
+            argv + extra, input=stdin, capture_output=True, text=True, env=CLI_ENV, timeout=60
         )
         assert proc.returncode == 0 and proc.stderr == ""
         return proc.stdout
 
-    census = run([], "")
-    assert run([], "G~~~~{\n") == census
+    census = run(["--max-n", "3"], "")
+    assert run(["--max-n", "3"], "G~~~~{\n") == census
     assert json.loads(census.splitlines()[-1])["checked"] == 6  # 1 + 1 + 4 labeled
     piped = run(["--in", "/dev/stdin"], "G~~~~{\n").splitlines()
     assert [json.loads(line)["graph6"] for line in piped[:-1]] == ["G~~~~{"]
@@ -300,6 +305,8 @@ def test_verify_usage_errors(tmp_path, capsys, monkeypatch):
     path.write_text("EhEG\n")
     bad_argvs = (
         ["verify", "--theorem", "weld_half", "--in", str(path), "--shard", "0/2"],
+        ["verify", "--theorem", "weld_half", "--in", str(path), "--max-n", "3"],
+        ["verify", "--theorem", "weld_half", "--in", str(path), "--include-disconnected"],
         ["verify", "--theorem", "weld_half", "--max-n", "0"],
         ["verify", "--theorem", "weld_half", "--max-n", "9"],
         ["verify", "--theorem", "weld_half", "--max-n", "x"],
@@ -312,6 +319,7 @@ def test_verify_usage_errors(tmp_path, capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 # sha256 of the concatenated stdout of `verify --theorem T ...` over THEOREMS
@@ -328,7 +336,7 @@ def test_verify_output_of_every_theorem_is_pinned(tmp_path, capsys, monkeypatch)
     runs = (
         (["--max-n", "5"], PINNED_MAX_N_5),
         (["--in", str(path)], PINNED_IN_FILE),
-        (["--max-n", "6"], PINNED_MAX_N_6),
+        ([], PINNED_MAX_N_6),  # the census runs to n = 6 without --max-n
     )
     for options, pinned in runs:
         outs = []
@@ -352,7 +360,6 @@ def test_twins_output_is_pinned(capsys, monkeypatch):
 
 
 def test_closed_stdout_exits_one_without_traceback(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
     err_path = tmp_path / "stderr"
     with open(err_path, "wb") as err:
         # --max-n 6 writes about 3 MB, far more than a pipe buffers
@@ -361,7 +368,7 @@ def test_closed_stdout_exits_one_without_traceback(tmp_path):
             [sys.executable, "-m", "locdom.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=err,
-            env={**os.environ, "PYTHONPATH": src},
+            env=CLI_ENV,
         )
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -484,6 +491,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "locdom.cli", "gen", "--family", "named", "P3"],
         capture_output=True,
         text=True,
+        env=CLI_ENV,
         timeout=60,
     )
     assert proc.returncode == 0

@@ -84,6 +84,10 @@ def test_edge_twin_masks_examples():
     assert edge_twin_masks(STAR3) == (0b110, 0b101, 0b011)
 
 
+def _twinned(pairs) -> set[int]:
+    return {x for pair in pairs for x in pair}
+
+
 def test_twin_report_matches_set_definitions():
     rng = random.Random(20260825)
     for _ in range(80):
@@ -91,13 +95,19 @@ def test_twin_report_matches_set_definitions():
         rep = twin_report(g)
         merged = set(rep.open_edge_pairs) | set(rep.closed_edge_pairs)
         assert merged == ref_edge_twin_pairs(g)
-        assert not (set(rep.open_edge_pairs) & set(rep.closed_edge_pairs))
+        # no edge has both an open and a closed twin
+        assert not _twinned(rep.open_edge_pairs) & _twinned(rep.closed_edge_pairs)
         for e, f in rep.open_edge_pairs:
             assert edge_nbrs(g, e) == edge_nbrs(g, f)
             assert f not in edge_nbrs(g, e)  # open twins share no endpoint
         for e, f in rep.closed_edge_pairs:
             assert edge_nbrs(g, e) | {e} == edge_nbrs(g, f) | {f}
             assert f in edge_nbrs(g, e)  # closed twins share exactly one
+            (v,) = set(g.edges[e]) & set(g.edges[f])
+            (u,), (w,) = set(g.edges[e]) - {v}, set(g.edges[f]) - {v}
+            for x in (edge_nbrs(g, e) | edge_nbrs(g, f)) - {e, f}:
+                assert v in g.edges[x] or set(g.edges[x]) == {u, w}
+            assert len(nbrs(g, u)) == len(nbrs(g, w)) in (1, 2)
         for u, v in rep.open_vertex_pairs:
             assert nbrs(g, u) == nbrs(g, v)
         for u, v in rep.closed_vertex_pairs:
