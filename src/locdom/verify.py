@@ -3,17 +3,18 @@
 Labeled graphs on n vertices are the masks 0..2^C(n,2)-1 over the
 lexicographic list of vertex pairs, so a census is a plain integer loop.
 One classifying scan serves every stream: it keeps a class-index table
-with one 16-bit slot per labeled mask, and the first time a mask of an
-unseen isomorphism class comes up, it tests that mask's connectivity and
-writes the new class index into all n! relabelings of it (orbit marking,
-Read, "Every one a winner", 1978).  Every later mask of the class is
-classified by one table read, with no BFS and no Graph.  The relabelings
-are walked by adjacent label swaps in Steinhaus-Johnson-Trotter order,
-each swap two delta swaps on the mask, read from a per-n tuple of the swaps
-in walk order.  The table is 64 KB at n = 6 and 4 MB at n = 7; on CPython
-3.11 the scan takes about 0.07 s at n = 6 and 3-3.5 s at n = 7.  At n = 8
-the table would be 512 MB, and the labeled loop over 2^28 masks is
-impractical anyway; that wants canonical augmentation.
+with one 16-bit slot per labeled mask.  The first mask of an unseen
+isomorphism class gets its connectivity and its complement's tested, and
+writes the new class index into all n! relabelings of itself (orbit
+marking, Read, "Every one a winner", 1978).  The complement class is
+paired, not walked: its index is the class's index ^ 1, read off the
+complement's slot.  Every later mask takes one or two table reads, with no
+BFS and no Graph.  The relabelings are walked by adjacent label swaps in
+Steinhaus-Johnson-Trotter order, each swap two lookups in per-n tables
+over the low and high halves of the mask.  The table is 64 KB at n = 6 and
+4 MB at n = 7; on CPython 3.11 the scan takes about 0.02 s at n = 6 and
+1.1-1.8 s at n = 7.  At n = 8 the table would be 512 MB, and the labeled
+loop over 2^28 masks is impractical anyway; that wants canonical augmentation.
 
 Sharding deals the masks that pass the connectivity filter round-robin for
 embarrassingly parallel runs; each shard still scans every mask.
@@ -112,52 +113,60 @@ def _plain_changes(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _relabel_steps(n: int) -> tuple[tuple[int, int, int], ...]:
-    """The delta swaps that walk an edge mask through its n! relabelings, in
-    _plain_changes order: swapping labels i and i + 1 moves the bits of slots
-    (k, i) up one for k < i, and those of (i, k) up n - i - 2 for k > i + 1,
-    while (i, i + 1) stays put."""
+def _relabel_steps(n: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """(split, steps) walking an edge mask through its n! relabelings in
+    _plain_changes order.  Each step swaps two labels through two lookup
+    tables, one over the mask's low split bits and one over the rest:
+    mask -> low[mask & (1 << split) - 1] | high[mask >> split]."""
+    pairs = _pair_table(n)
     index = _pair_index(n)
-    swaps = [
-        (
-            sum(1 << index[(k, i)] for k in range(i)),
-            sum(1 << index[(i, k)] for k in range(i + 2, n)),
-            n - i - 2,
-        )
-        for i in range(n - 1)
-    ]
-    return tuple(swaps[i] for i in _plain_changes(n))
+    split = (len(pairs) + 1) // 2
+    tables = []
+    for i in range(n - 1):
+        swap = {i: i + 1, i + 1: i}
+        halves = ([0], [0])
+        for k, (u, v) in enumerate(pairs):  # slot k doubles its half's table
+            bit = 1 << index[tuple(sorted((swap.get(u, u), swap.get(v, v))))]
+            table = halves[k >= split]
+            table += [t | bit for t in table]
+        tables.append(tuple(map(tuple, halves)))
+    return split, tuple(tables[i] for i in _plain_changes(n))
 
 
 def _relabelings(mask: int, n: int) -> list[int]:
     """The edge mask remapped by each of the n! permutations of range(n)."""
+    split, steps = _relabel_steps(n)
+    low_bits = (1 << split) - 1
     out = [mask]
     append = out.append
-    for low, high, shift in _relabel_steps(n):
-        t = ((mask >> 1) ^ mask) & low
-        mask ^= t | t << 1
-        t = ((mask >> shift) ^ mask) & high
-        mask ^= t | t << shift
+    for low, high in steps:
+        mask = low[mask & low_bits] | high[mask >> split]
         append(mask)
     return out
 
 
 def _classified(spec: EnumerationSpec) -> Iterator[tuple[int, int]]:
     """Yield (class index, mask) for each mask that spec enumerates, in scan
-    order (sharding and dedup as in enumerate_graphs).  Class indices count
-    from 1 in order of first appearance."""
+    order (sharding and dedup as in enumerate_graphs).  A new class gets an
+    even index c from 2 up and its complement class c ^ 1 (unused if it is
+    self-complementary); indices are keys, neither dense nor in order of
+    first appearance.  The largest, 2 * 12,346 + 1 at n = 8, fits 16 bits."""
     n = spec.n
     size = 1 << len(_pair_table(n))
+    full = size - 1
     classes = array("H", [0]) * size
-    passes = [False]  # per class index: does it pass the connectivity filter
+    passes = [False, False]  # per class index: does it pass the connectivity filter
     shard_index, shard_total = spec.shard
     yielded: set[int] | None = set() if spec.dedup_isomorphic else None
     position = -1
     for mask in range(size):
-        c = classes[mask]
-        if not c:
+        c = classes[mask] or classes[full ^ mask] ^ 1
+        if c == 1:
             c = len(passes)
-            passes.append(not spec.connected_only or masks_connected(_mask_graph(n, mask).vadj))
+            passes += (
+                not spec.connected_only or masks_connected(_mask_graph(n, m).vadj)
+                for m in (mask, full ^ mask)
+            )
             for r in _relabelings(mask, n):
                 classes[r] = c
         if not passes[c]:

@@ -26,7 +26,7 @@ from locdom import (
     report_lines,
     twin_report,
 )
-from locdom.verify import _THEOREMS, _classified, _open_twin_masks, _relabelings
+from locdom.verify import _classified, _open_twin_masks, _relabelings
 from conftest import nx_isomorphic, random_graph
 
 # labeled graph counts on n vertices: all, and connected
@@ -35,6 +35,8 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 # unlabeled counts for the dedup mode (OEIS A000088 and A001349)
 UNLABELED_ALL = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 UNLABELED_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+# self-complementary unlabeled graphs (OEIS A000171)
+SELF_COMPLEMENTARY = {1: 1, 2: 0, 3: 0, 4: 1, 5: 2, 6: 0}
 
 
 def test_spec_validation():
@@ -133,8 +135,9 @@ def test_dedup_keeps_first_mask_per_class():
 
 
 def test_relabelings_walk_every_permutation_once():
+    # n = 7 splits its 21 slots unevenly between the two step tables
     rng = random.Random(7)
-    for n in range(0, 7):
+    for n in range(0, 8):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for _ in range(5):
             mask = rng.getrandbits(len(pairs))
@@ -144,6 +147,43 @@ def test_relabelings_walk_every_permutation_once():
                 for perm in permutations(range(n))
             )
             assert sorted(_relabelings(mask, n)) == want
+
+
+def test_canonical_form_is_the_least_relabeling_at_eight_vertices():
+    rng = random.Random(20261019)
+    slot = {e: k for k, e in enumerate(combinations(range(8), 2))}
+    for p in (0.3, 0.5, 0.7):
+        g = random_graph(rng, 8, p)
+        want = min(
+            sum(1 << slot[tuple(sorted((perm[u], perm[v])))] for u, v in g.edges)
+            for perm in permutations(range(8))
+        )
+        assert canonical_form(g) == want
+
+
+def test_complement_classes_pair_by_xor():
+    # The complement of a class-c mask is in class c ^ 1, or in c itself
+    # exactly when the class is self-complementary; every shard agrees.
+    for n in range(1, 7):
+        full = (1 << n * (n - 1) // 2) - 1
+        for total in (1, 3):
+            class_of = {}
+            for i in range(total):
+                spec = EnumerationSpec(n, connected_only=False, shard=(i, total))
+                class_of.update((mask, c) for c, mask in _classified(spec))
+            assert len(class_of) == full + 1
+            self_complementary, member = set(), {}
+            for mask, c in class_of.items():
+                member.setdefault(c, mask)
+                if class_of[full ^ mask] == c:
+                    self_complementary.add(c)
+                else:
+                    assert class_of[full ^ mask] == c ^ 1, (n, mask)
+            assert len(self_complementary) == SELF_COMPLEMENTARY[n]
+            for c, mask in member.items():
+                h = nx.Graph(p for k, p in enumerate(combinations(range(n), 2)) if mask >> k & 1)
+                h.add_nodes_from(range(n))
+                assert nx.is_isomorphic(h, nx.complement(h)) == (c in self_complementary)
 
 
 def test_class_index_is_the_isomorphism_class():
@@ -240,11 +280,6 @@ def test_theorem_names_and_skip_reasons_are_frozen():
         "disconnected",
         "size_mismatch",
     }
-
-
-def test_skip_reasons_cover_every_theorem_row():
-    named = {reason for row in _THEOREMS.values() for reason, _ in row.preconditions}
-    assert set(SKIP_REASONS) == named
 
 
 def test_check_graph_records():
