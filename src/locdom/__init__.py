@@ -74,7 +74,6 @@ from .verify import (
     check_graph,
     enumerate_graphs,
     iter_reports,
-    open_edge_twin_census,
 )
 
 __version__ = "1.0.0"
@@ -128,7 +127,6 @@ __all__ = [
     "iter_reports",
     "line_graph",
     "named_graph",
-    "open_edge_twin_census",
     "parse_edgelist",
     "parse_graph6",
     "parse_parameter",

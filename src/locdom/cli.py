@@ -136,7 +136,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     census_options = (args.max_n, args.shard, args.include_disconnected)
-    if args.infile is not None and census_options != (None, (0, 1), False):
+    if args.infile is not None and census_options != (None, None, False):
         args.parser.error(
             "--max-n, --shard and --include-disconnected apply to the census, not --in files"
         )
@@ -146,7 +146,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lines = (line + "\n" for line in report_lines(reports))
     else:
         specs = [
-            EnumerationSpec(n, connected_only=not args.include_disconnected, shard=args.shard)
+            EnumerationSpec(n, not args.include_disconnected, shard=args.shard or (0, 1))
             for n in range(1, (args.max_n or 6) + 1)
         ]
         lines = census_lines(specs, args.theorem, summary)
@@ -252,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="census of every order 1..N (default 6); N = 8 scans 2^28 masks"
         " and needs a 512 MB class table",
     )
-    p.add_argument("--shard", type=_shard_arg, default=(0, 1), metavar="I/T")
+    p.add_argument("--shard", type=_shard_arg, metavar="I/T")
     p.add_argument(
         "--include-disconnected",
         action="store_true",

@@ -38,13 +38,6 @@ value/bound/holds check.  Violations are data, not exceptions.  A violation
 of any registered bound would falsify published mathematics, so the
 harness treats them as reportable events and the callers decide how
 loudly to fail.
-
-The open-edge-twin census inverts the quantifier instead of scanning every
-graph: a pair of disjoint edge slots of K_n is an open twin pair exactly
-in the supersets of the pair avoiding the symmetric difference of the
-slots' K_n neighbourhoods, so candidates are enumerated directly from each
-pair's constraint set.  That turns the n = 7 census from millions of
-graphs into about 13 thousand candidate masks.
 """
 
 from __future__ import annotations
@@ -207,50 +200,6 @@ def canonical_form(g: Graph) -> int:
         )
     index = _pair_index(g.n)
     return min(_relabelings(sum(1 << index[e] for e in g.edges), g.n))
-
-
-def _open_twin_masks(n: int) -> set[int]:
-    """Edge masks of every labeled graph on n vertices, connected or not, that
-    has an open edge-twin pair, by inverting the pair quantifier (see module
-    docstring) rather than scanning all 2^C(n,2) masks."""
-    count = len(_pair_table(n))
-    full = (1 << count) - 1
-    adj_slots = _mask_graph(n, full).eadj  # slot i is edge i of K_n
-    hits: set[int] = set()
-    for a in range(count):
-        for b in range(a + 1, count):
-            diff = adj_slots[a] ^ adj_slots[b]
-            base = (1 << a) | (1 << b)
-            if diff & base:
-                continue  # slots share an endpoint: never open twins
-            free = full & ~(diff | base)
-            sub = free
-            while True:
-                hits.add(base | sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & free
-    return hits
-
-
-def open_edge_twin_census(max_n: int) -> list[Graph]:
-    """Connected graphs with open edge-twins, one representative per class.
-
-    Representatives are ordered by (order, canonical form), each the least
-    mask of its class; the expected outcome for any max_n >= 4 is the five
-    four-vertex shapes and nothing else.
-    """
-    if max_n > MAX_ENUM_VERTICES:
-        raise SizeLimitError(
-            f"open-twin inversion supports 0 <= n <= {MAX_ENUM_VERTICES}, got {max_n}"
-        )
-    reps: dict[tuple[int, int], Graph] = {}
-    for n in range(1, max_n + 1):
-        for mask in sorted(_open_twin_masks(n)):
-            g = _mask_graph(n, mask)
-            if is_connected(g):
-                reps.setdefault((n, canonical_form(g)), g)
-    return [reps[key] for key in sorted(reps)]
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ in the package are always checked against an independent formulation.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
 
-from locdom import Graph, bits
+from locdom import EnumerationSpec, Graph, bits, enumerate_graphs
 
 # ---------------------------------------------------------------------------
 # Reference predicates (set-based, deliberately naive)
@@ -145,3 +146,14 @@ def random_graph_capped(rng: random.Random, n: int, max_m: int = 128) -> Graph:
     pairs = list(combinations(range(n), 2))
     m = rng.randrange(0, min(len(pairs), max_m) + 1)
     return Graph(n, rng.sample(pairs, m))
+
+
+@lru_cache(maxsize=None)
+def class_reps(max_n: int) -> tuple[Graph, ...]:
+    """One connected graph per isomorphism class for n = 1..max_n, each its
+    class's least mask, ordered by n; cached, so the n = 7 scan runs once."""
+    return tuple(
+        g
+        for n in range(1, max_n + 1)
+        for g in enumerate_graphs(EnumerationSpec(n, dedup_isomorphic=True))
+    )

@@ -203,8 +203,10 @@ def test_integer_arguments_are_ascii_decimals(capsys, monkeypatch):
 def test_gen_domain_errors_exit_one(capsys, monkeypatch):
     rc, out, err = run_cli(capsys, monkeypatch, ["gen", "--family", "substar", "1"])
     assert rc == 1 and out == "" and err.startswith("error:")
-    rc, _, err = run_cli(capsys, monkeypatch, ["gen", "--family", "named", "petersen"])
-    assert rc == 1 and "unknown graph name" in err
+    # names take ASCII digits only, as every other integer input does
+    for name in ("petersen", "P\u0662", "K1,\uff13"):
+        rc, _, err = run_cli(capsys, monkeypatch, ["gen", "--family", "named", name])
+        assert rc == 1 and "unknown graph name" in err, name
 
 
 def test_verify_small_sweep(capsys, monkeypatch):
@@ -305,6 +307,7 @@ def test_verify_usage_errors(tmp_path, capsys, monkeypatch):
     path.write_text("EhEG\n")
     bad_argvs = (
         ["verify", "--theorem", "weld_half", "--in", str(path), "--shard", "0/2"],
+        ["verify", "--theorem", "weld_half", "--in", str(path), "--shard", "0/1"],
         ["verify", "--theorem", "weld_half", "--in", str(path), "--max-n", "3"],
         ["verify", "--theorem", "weld_half", "--in", str(path), "--include-disconnected"],
         ["verify", "--theorem", "weld_half", "--max-n", "0"],

@@ -28,10 +28,6 @@ def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def complete(n):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
 def test_bits_iterates_set_positions():
     assert list(bits(0)) == []
     assert list(bits(0b1)) == [0]

@@ -5,6 +5,7 @@ import random
 from locdom import (
     Graph,
     line_graph,
+    named_graph,
     solve_min,
     twin_report,
 )
@@ -13,10 +14,6 @@ from conftest import nx_isomorphic, random_graph
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
 STAR3 = Graph(4, [(0, 1), (0, 2), (0, 3)])
-
-
-def complete(n):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def test_line_of_path_is_shorter_path():
@@ -89,6 +86,6 @@ def test_edge_parameters_transfer_to_line_graph():
 
 def test_size_caps():
     # There are none: line graphs past the old 64-vertex and 128-edge caps build.
-    line = line_graph(complete(12)).line
+    line = line_graph(named_graph("K12")).line
     assert (line.n, line.m) == (66, 66 * 20 // 2)
-    assert line_graph(Graph(18, [(0, v) for v in range(1, 18)])).line == complete(17)
+    assert line_graph(Graph(18, [(0, v) for v in range(1, 18)])).line == named_graph("K17")

@@ -21,6 +21,7 @@ from locdom import (
     is_locating,
     is_total_dominating,
     is_weak_edge_locating,
+    named_graph,
     parse_graph6,
     parse_parameter,
     bits,
@@ -39,10 +40,6 @@ K4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 
 def star(k):
     return Graph(k + 1, [(0, v) for v in range(1, k + 1)])
-
-
-def complete(n):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 REF_PREDICATES = {
@@ -175,7 +172,7 @@ def test_known_values():
     assert solve_min(K4, "weld").value == 2
     assert solve_min(K4, "eld").value == 3
     for n in range(3, 7):
-        assert solve_min(complete(n), "ld").value == n - 1
+        assert solve_min(named_graph(f"K{n}"), "ld").value == n - 1
     for k in range(2, 6):
         assert solve_min(star(k), "ltd").value == k
         assert solve_min(star(k), "weld").value == 1

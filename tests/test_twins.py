@@ -1,14 +1,12 @@
 """Twin detection and the structural facts about edge-twins.
 
-The last two tests sweep every connected graph up to 7 vertices for the
-closed-twin uniqueness claim.  At 7 vertices full enumeration is too wide,
-so the sweep is inverted: closed edge-twins force a concrete local shape,
-and only supergraphs of that shape need to be visited.
+The last two tests check the closed-twin uniqueness claim on one graph per
+isomorphism class of connected graphs up to 7 vertices; the claim is an
+isomorphism invariant, so the class representatives cover every graph.
 """
 
 import random
 from collections import Counter
-from itertools import combinations
 
 import pytest
 
@@ -19,14 +17,13 @@ from locdom import (
     check_observation1,
     edge_twin_masks,
     enumerate_graphs,
-    is_connected,
     is_edge_twin_free,
     is_twin_free,
     named_graph,
     twin_report,
 )
 from locdom.twins import _is_open_twin_shape
-from conftest import edge_nbrs, nbrs, nx_isomorphic, random_graph, ref_edge_twin_pairs
+from conftest import class_reps, edge_nbrs, nbrs, nx_isomorphic, random_graph, ref_edge_twin_pairs
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -166,68 +163,16 @@ def _violates_closed_twin_uniqueness(g: Graph) -> bool:
 
 
 def test_closed_twin_partner_unique_up_to_six_vertices():
-    violators = []
-    for n in range(1, 7):
-        for g in enumerate_graphs(EnumerationSpec(n=n)):
-            if _violates_closed_twin_uniqueness(g):
-                violators.append(g)
+    violators = [
+        g for g in class_reps(7) if g.n <= 6 and _violates_closed_twin_uniqueness(g)
+    ]
     # the triangle is the lone exception: all three of its edges are
     # pairwise closed twins
     assert violators == [K3]
 
 
-def _graphs_with_closed_edge_pairs(n: int):
-    """Connected n-vertex graphs containing at least one closed edge-twin pair.
-
-    Closed twins always share exactly one endpoint, and N[e] = N[f] says the
-    graph avoids every slot of the complete graph where the two closed
-    neighborhoods differ.  Enumerating supersets of each adjacent slot pair
-    within the allowed slots visits exactly the wanted graphs.
-    """
-    slots = list(combinations(range(n), 2))
-    index = {p: i for i, p in enumerate(slots)}
-    closed_adj = []
-    for i, (u, v) in enumerate(slots):
-        mask = 1 << i
-        for j, (x, y) in enumerate(slots):
-            if j != i and len({u, v} & {x, y}) == 1:
-                mask |= 1 << j
-        closed_adj.append(mask)
-    full = (1 << len(slots)) - 1
-    seen = set()
-    for a, b in combinations(range(len(slots)), 2):
-        base = (1 << a) | (1 << b)
-        diff = closed_adj[a] ^ closed_adj[b]
-        if diff & base:
-            continue  # non-adjacent slots can never be closed twins
-        free = full & ~(diff | base)
-        sub = free
-        while True:
-            mask = base | sub
-            if mask not in seen:
-                seen.add(mask)
-                g = Graph(n, [slots[i] for i in range(len(slots)) if (mask >> i) & 1])
-                if is_connected(g):
-                    yield g
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-
-
 def test_closed_twin_partner_unique_at_seven_vertices():
-    checked = 0
-    for g in _graphs_with_closed_edge_pairs(7):
-        checked += 1
-        assert not _violates_closed_twin_uniqueness(g), g.edges
-    assert checked > 10000  # the inverted sweep must actually cover ground
-
-
-def test_inverted_closed_pair_sweep_matches_direct_scan():
-    for n in range(2, 6):
-        direct = {
-            g.edges
-            for g in enumerate_graphs(EnumerationSpec(n=n))
-            if twin_report(g).closed_edge_pairs
-        }
-        inverted = {g.edges for g in _graphs_with_closed_edge_pairs(n)}
-        assert inverted == direct
+    sevens = [g for g in class_reps(7) if g.n == 7]
+    assert len(sevens) == 853  # OEIS A001349
+    violators = [g for g in sevens if _violates_closed_twin_uniqueness(g)]
+    assert violators == []

@@ -22,12 +22,11 @@ from locdom import (
     enumerate_graphs,
     iter_reports,
     named_graph,
-    open_edge_twin_census,
     report_lines,
     twin_report,
 )
-from locdom.verify import _classified, _open_twin_masks, _relabelings
-from conftest import nx_isomorphic, random_graph
+from locdom.verify import _classified, _relabelings
+from conftest import class_reps, nx_isomorphic, random_graph
 
 # labeled graph counts on n vertices: all, and connected
 ALL_COUNTS = {1: 1, 2: 2, 3: 8, 4: 64, 5: 1024}
@@ -234,22 +233,10 @@ def test_isomorphism_examples():
         canonical_form(Graph(9))
 
 
-def test_inverted_open_twin_scan_matches_direct_scan():
-    # every labeled graph, disconnected ones included: two disjoint edges
-    # are open twins of each other
-    for n in range(6):
-        slot = {p: i for i, p in enumerate(combinations(range(n), 2))}
-        direct = {
-            sum(1 << slot[e] for e in g.edges)
-            for g in enumerate_graphs(EnumerationSpec(n=n, connected_only=False))
-            if twin_report(g).open_edge_pairs
-        }
-        assert _open_twin_masks(n) == direct, n
-    assert (1 << 0 | 1 << 5) in _open_twin_masks(4)  # the matching 01, 23
-
-
 def test_open_twin_census_is_the_five_shapes():
-    census = open_edge_twin_census(7)
+    # 143 connected classes for n <= 6 and 853 at n = 7 (OEIS A001349)
+    assert len(class_reps(7)) == 143 + 853
+    census = [g for g in class_reps(7) if twin_report(g).open_edge_pairs]
     assert len(census) == 5
     targets = [named_graph(s) for s in ("P4", "C4", "paw", "diamond", "K4")]
     for rep in census:
@@ -257,8 +244,6 @@ def test_open_twin_census_is_the_five_shapes():
         assert sum(1 for t in targets if nx_isomorphic(rep, t)) == 1
     # distinct classes
     assert len({canonical_form(rep) for rep in census}) == 5
-    with pytest.raises(SizeLimitError):
-        open_edge_twin_census(9)
 
 
 def test_theorem_names_and_skip_reasons_are_frozen():
