@@ -23,14 +23,14 @@ from pathlib import Path
 
 from .codec import (
     _is_int,
-    parse_edgelist,
+    parse_edgelist_stream,
     parse_graph6,
     report_lines,
     write_edgelist,
     write_graph6,
 )
 from .core import Graph
-from .errors import CodecError, HeaderMismatchError, LocdomError
+from .errors import LocdomError
 from .extremal import named_graph, spider_weld_tree, subdivided_star_eltd
 from .linegraph import line_graph
 from .solvers import PARAMETER_NAMES, parse_parameter, solve_min
@@ -159,29 +159,13 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if args.source == "graph6":
         graphs = _input_graphs(args)
     else:
-        graphs = _parse_edgelist_stream(_read_text(args))
+        graphs = parse_edgelist_stream(_read_text(args))
     for g in graphs:
         if args.target == "graph6":
             print(write_graph6(g))
         else:
             sys.stdout.write(write_edgelist(g))
     return 0
-
-
-def _parse_edgelist_stream(text: str) -> list[Graph]:
-    tokens = text.split()
-    graphs = []
-    pos = 0
-    while pos < len(tokens):
-        if pos + 2 > len(tokens):
-            raise HeaderMismatchError("truncated edge-list record: missing 'n m' header")
-        if not _is_int(tokens[pos + 1]):
-            raise CodecError(f"non-integer edge count {tokens[pos + 1]!r}")
-        m = int(tokens[pos + 1])
-        end = pos + 2 + max(0, 2 * m)
-        graphs.append(parse_edgelist(" ".join(tokens[pos:end])))
-        pos = end
-    return graphs
 
 
 def _shard_arg(text: str) -> tuple[int, int]:

@@ -4,11 +4,12 @@ graph6 is the compact ASCII format used by the common graph tool chains:
 one byte 63+n for the order, then the upper triangle of the adjacency
 matrix read column by column, packed big-endian into 6-bit groups offset
 by 63.  Only the short form (n <= 62) is supported; that is far beyond the
-exhaustive range anyway.  Both writers build a record as one integer with
-one byte per 6-bit group: the empty graph's record supplies the order byte
-and the 63 offsets, each edge adds its one bit, and a single `to_bytes`
-gives the ASCII text.  `mask_graph6` takes the added bits of each byte of an
-edge mask from a per-n table of 256 values.
+exhaustive range anyway.  A record is read as one integer with one byte
+per 6-bit group, and one table per n gives each vertex pair's bit in it.
+The writers add their edges' bits to the empty graph's record, which holds
+the order byte and the 63 offsets (`mask_graph6` adds one precomputed sum
+of table bits per byte of its edge mask); the parser subtracts the empty
+record, keeps the pairs whose bit is set, and rejects any bit left over.
 
 Reports are one JSON object per line with a fixed key order, so verification
 output can be streamed, diffed bytewise, and split across shards.
@@ -53,37 +54,26 @@ def parse_graph6(line: str) -> Graph:
     if data[0] == 126:
         raise SizeLimitError("graph6 long form (n > 62) not supported")
     n = data[0] - 63
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    body = data[1:]
-    if len(body) != nbytes:
+    size, empty, slots = _graph6_layout(n)
+    if len(data) != size:
         raise BadLengthError(
-            f"graph6 record for n={n} needs {nbytes} payload bytes, got {len(body)}"
+            f"graph6 record for n={n} needs {size - 1} payload bytes, got {len(data) - 1}"
         )
-    x = 0
-    for byte in body:
-        x = (x << 6) | (byte - 63)
-    total = 6 * nbytes
-    if x & ((1 << (total - nbits)) - 1):
+    # every byte is at least 63, so no borrow crosses a byte
+    x = int.from_bytes(data, "big") - empty
+    pairs = tuple(pair for pair, bit in slots.items() if x & bit)
+    if x != sum(map(slots.__getitem__, pairs)):
         raise BadCharacterError(f"graph6 record for n={n} has nonzero padding bits")
-    pairs = []
-    t = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (x >> (total - 1 - t)) & 1:
-                pairs.append((i, j))
-            t += 1
-    return Graph(n, pairs)
+    return Graph._from_canonical(n, pairs)
 
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph as one short-form graph6 record."""
     if g.n > 62:
         raise SizeLimitError(f"graph6 short form caps at 62 vertices, got {g.n}")
-    size, x = _graph6_layout(g.n)
+    size, empty, slots = _graph6_layout(g.n)
     # each payload byte already holds its offset 63, so bits are added, not or-ed
-    for u, v in g.edges:
-        x += _graph6_bit(size, u, v)
+    x = sum(map(slots.__getitem__, g.edges), empty)
     return x.to_bytes(size, "big").decode("ascii")
 
 
@@ -102,19 +92,18 @@ def mask_graph6(n: int, mask: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _graph6_layout(n: int) -> tuple[int, int]:
-    """The byte count of an n-vertex record, and the record of the empty
-    graph on n vertices read as a big-endian integer."""
+def _graph6_layout(n: int) -> tuple[int, int, dict[tuple[int, int], int]]:
+    """The byte count of an n-vertex record, the record of the empty graph
+    on n vertices read as a big-endian integer, and the bit that each vertex
+    pair (u, v), u < v, sets in that integer, keyed in lexicographic order:
+    pair k = v(v-1)/2 + u is bit 5 - k % 6 of payload byte k // 6."""
     nbytes = (n * (n - 1) // 2 + 5) // 6
-    return 1 + nbytes, int.from_bytes(bytes([63 + n]) + b"?" * nbytes, "big")
-
-
-def _graph6_bit(size: int, u: int, v: int) -> int:
-    """The bit that edge (u, v), u < v, sets in a record of size bytes read
-    as a big-endian integer: pair k = v(v-1)/2 + u is bit 5 - k % 6 of
-    payload byte k // 6, which follows the order byte."""
-    group, offset = divmod(v * (v - 1) // 2 + u, 6)
-    return 1 << 8 * (size - 2 - group) + 5 - offset
+    slots = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            group, offset = divmod(v * (v - 1) // 2 + u, 6)
+            slots[u, v] = 1 << 8 * (nbytes - 1 - group) + 5 - offset
+    return 1 + nbytes, int.from_bytes(bytes([63 + n]) + b"?" * nbytes, "big"), slots
 
 
 @lru_cache(maxsize=None)
@@ -122,23 +111,40 @@ def _graph6_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The byte count of an n-vertex record and, per byte of an edge mask,
     the record bits of its 256 values.  The first table also holds the
     empty graph's record, so one value from each table adds up to a record."""
-    size, empty = _graph6_layout(n)
-    slots = [_graph6_bit(size, u, v) for u in range(n) for v in range(u + 1, n)]
+    size, empty, slots = _graph6_layout(n)
+    bits = list(slots.values())
     return size, tuple(
         tuple(
             sum(
-                (slot for k, slot in enumerate(slots[low:low + 8]) if value >> k & 1),
+                (bit for k, bit in enumerate(bits[low:low + 8]) if value >> k & 1),
                 0 if low else empty,
             )
             for value in range(256)
         )
-        for low in range(0, max(len(slots), 1), 8)  # n <= 1 still needs the first
+        for low in range(0, max(len(bits), 1), 8)  # n <= 1 still needs the first
     )
 
 
 def parse_edgelist(text: str) -> Graph:
-    """Decode 'n m' followed by m whitespace-separated endpoint pairs."""
+    """Decode text that is exactly one edge-list record."""
+    return _edgelist_record(text.split())
+
+
+def parse_edgelist_stream(text: str) -> list[Graph]:
+    """Decode a stream of edge-list records, each ended by its count m; a
+    record without a valid count runs to the end and fails its own checks."""
     tokens = text.split()
+    graphs, pos = [], 0
+    while pos < len(tokens):
+        m = tokens[pos + 1:pos + 2]
+        end = pos + 2 + 2 * max(0, int(m[0])) if m and _is_int(m[0]) else len(tokens)
+        graphs.append(_edgelist_record(tokens[pos:end]))
+        pos = end
+    return graphs
+
+
+def _edgelist_record(tokens: list[str]) -> Graph:
+    """'n m' followed by m endpoint pairs, as whitespace-split tokens."""
     if len(tokens) < 2:
         raise HeaderMismatchError("edge list needs an 'n m' header")
     bad = next((t for t in tokens if not _is_int(t)), None)

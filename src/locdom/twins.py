@@ -3,9 +3,9 @@
 Two distinct vertices are open twins when N(u) = N(v) and closed twins when
 N[u] = N[v]; two distinct edges are open/closed edge-twins under the same
 comparison of their edge neighbourhoods (the edges sharing an endpoint with
-them).  Edge-twins of G are the vertex twins of L(G), so one quadratic
-scan over neighbour masks, `g.vadj` or `g.eadj`, serves both levels, and
-every reader below takes its answer from it.
+them).  Edge-twins of G are the vertex twins of L(G), so one grouping by
+neighbour mask, `g.vadj` or `g.eadj`, open and closed, serves both levels,
+and every reader below takes its answer from it.
 
 `check_observation1` re-verifies on a connected graph the two structural
 facts about edge-twins that a graph could fail and the bound proofs lean
@@ -39,21 +39,20 @@ class TwinReport:
 def _twin_masks(adj: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per element, the mask of its open twins and the mask of its closed twins.
 
-    adj holds symmetric neighbour masks without self-loops.  No pair is both:
-    closed twins are adjacent, and an element is never its own neighbour.
+    Elements are grouped by open neighbourhood and by closed neighbourhood;
+    an element's twins are its group without it.  adj holds symmetric
+    neighbour masks without self-loops, so no pair is both: closed twins are
+    adjacent, and an element is never its own neighbour.
     """
-    open_twins = [0] * len(adj)
-    closed_twins = [0] * len(adj)
+    open_groups: dict[int, int] = {}
+    closed_groups: dict[int, int] = {}
     for i, a in enumerate(adj):
-        closed = a | 1 << i
-        for j in range(i + 1, len(adj)):
-            if adj[j] == a:
-                open_twins[i] |= 1 << j
-                open_twins[j] |= 1 << i
-            elif adj[j] | 1 << j == closed:
-                closed_twins[i] |= 1 << j
-                closed_twins[j] |= 1 << i
-    return tuple(open_twins), tuple(closed_twins)
+        open_groups[a] = open_groups.get(a, 0) | 1 << i
+        closed_groups[a | 1 << i] = closed_groups.get(a | 1 << i, 0) | 1 << i
+    return (
+        tuple(open_groups[a] ^ 1 << i for i, a in enumerate(adj)),
+        tuple(closed_groups[a | 1 << i] ^ 1 << i for i, a in enumerate(adj)),
+    )
 
 
 def _pairs(masks: Sequence[int]) -> tuple[tuple[int, int], ...]:

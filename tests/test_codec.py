@@ -32,7 +32,7 @@ from locdom import (
     write_graph6,
 )
 from locdom.cli import main
-from locdom.codec import mask_graph6
+from locdom.codec import mask_graph6, parse_edgelist_stream
 from locdom.verify import _mask_graph
 from conftest import random_graph, random_graph_capped
 
@@ -136,7 +136,9 @@ def test_mask_graph6_matches_write_graph6_on_every_mask():
     # every mask with n <= 6 covers both table bytes at n = 6 and n = 0, 1
     for n in range(7):
         for mask in range(1 << n * (n - 1) // 2):
-            assert mask_graph6(n, mask) == write_graph6(_mask_graph(n, mask)), (n, mask)
+            g6 = mask_graph6(n, mask)
+            assert g6 == write_graph6(_mask_graph(n, mask)), (n, mask)
+            assert parse_graph6(g6) == _mask_graph(n, mask), (n, mask)
 
 
 def test_nonzero_padding_bits_are_rejected(tmp_path, capsys):
@@ -145,6 +147,19 @@ def test_nonzero_padding_bits_are_rejected(tmp_path, capsys):
     for record in ("Bx", "A`", "EhEH"):
         with pytest.raises(BadCharacterError, match="padding"):
             parse_graph6(record)
+    # every padding bit on its own, in the empty and the complete graph of
+    # each order up to 7 whose record has padding (C(n, 2) not a multiple of 6)
+    padded = {2: 5, 3: 3, 5: 2, 6: 3, 7: 3}
+    assert padded == {n: -n * (n - 1) // 2 % 6 for n in range(8) if n * (n - 1) // 2 % 6}
+    for n, count in padded.items():
+        for g in (Graph(n), Graph(n, combinations(range(n), 2))):
+            record = write_graph6(g)
+            assert parse_graph6(record) == g
+            for bit in range(count):
+                # the bit is clear in a valid record, so adding it sets it
+                flipped = record[:-1] + chr(ord(record[-1]) + (1 << bit))
+                with pytest.raises(BadCharacterError, match="padding"):
+                    parse_graph6(flipped)
     path = tmp_path / "padded.g6"
     path.write_text("Bx\n")
     assert main(["verify", "--theorem", "weld_half", "--in", str(path)]) == 1
@@ -179,6 +194,30 @@ def test_edgelist_errors():
         parse_edgelist("2 1\n0 5")
 
 
+def test_edgelist_stream():
+    graphs = [P3, Graph(4), Graph(2, [(0, 1)]), Graph(0), C6, Graph(1)]
+    text = "".join(map(write_edgelist, graphs))
+    assert parse_edgelist_stream(text) == graphs
+    assert parse_edgelist_stream(" ".join(text.split())) == graphs
+    assert parse_edgelist_stream("") == parse_edgelist_stream(" \n ") == []
+    # two records are not one
+    with pytest.raises(HeaderMismatchError):
+        parse_edgelist("3 1\n0 1\n2 0\n")
+    # a header cut short after a complete record
+    with pytest.raises(HeaderMismatchError):
+        parse_edgelist_stream("3 1\n0 1\n4\n")
+    # a record short of its declared edges, and a negative count
+    with pytest.raises(HeaderMismatchError):
+        parse_edgelist_stream("2 0\n3 2\n0 1\n")
+    with pytest.raises(HeaderMismatchError):
+        parse_edgelist_stream("2 0\n3 -1\n0 1\n")
+    for bad in ("3 1\n0 1\n4 x\n0 1\n", "3 1\n0 1\nx 1\n0 1\n", "3 1\n0 y\n"):
+        with pytest.raises(CodecError, match="non-integer"):
+            parse_edgelist_stream(bad)
+    with pytest.raises(VertexRangeError):
+        parse_edgelist_stream("2 0\n2 1\n0 5\n")
+
+
 def test_edgelist_integers_are_ascii_decimals():
     # int() alone reads "1_1" as 11 and takes Arabic-Indic and fullwidth digits
     for bad in ("1_1", "\u0662", "\uff13"):
@@ -202,10 +241,10 @@ TOKENS = st.lists(
 
 def _parses_or_raises_locdom_error(parse, text):
     try:
-        g = parse(text)
+        out = parse(text)
     except LocdomError:
         return
-    assert isinstance(g, Graph)
+    assert all(isinstance(g, Graph) for g in (out if isinstance(out, list) else [out]))
 
 
 @FUZZ
@@ -215,6 +254,7 @@ def test_parsers_fuzz_arbitrary_text(text):
     # SelfLoopError and DuplicateEdgeError are documented siblings of it
     _parses_or_raises_locdom_error(parse_graph6, text)
     _parses_or_raises_locdom_error(parse_edgelist, text)
+    _parses_or_raises_locdom_error(parse_edgelist_stream, text)
 
 
 @FUZZ
@@ -222,6 +262,7 @@ def test_parsers_fuzz_arbitrary_text(text):
 def test_parsers_fuzz_token_lists(tokens):
     _parses_or_raises_locdom_error(parse_graph6, "".join(tokens))
     _parses_or_raises_locdom_error(parse_edgelist, " ".join(tokens))
+    _parses_or_raises_locdom_error(parse_edgelist_stream, " ".join(tokens))
 
 
 def test_report_check_line_format():

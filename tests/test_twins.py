@@ -79,6 +79,11 @@ def test_edge_twin_masks_examples():
     assert edge_twin_masks(P5) == (0, 0, 0, 0)
     assert edge_twin_masks(C4) == (0b1000, 0b0100, 0b0010, 0b0001)
     assert edge_twin_masks(STAR3) == (0b110, 0b101, 0b011)
+    # empty neighbourhoods are equal: isolated vertices, and isolated edges,
+    # are open twins
+    assert edge_twin_masks(Graph(4, [(0, 1), (2, 3)])) == (0b10, 0b01)
+    rep = twin_report(Graph(4, [(0, 1)]))
+    assert (rep.open_vertex_pairs, rep.closed_vertex_pairs) == (((2, 3),), ((0, 1),))
 
 
 def _twinned(pairs) -> set[int]:
