@@ -6,11 +6,13 @@ catalogue generators), verify (the exhaustive bound harness), encode
 (format conversion).  Graphs arrive as graph6 lines on stdin unless --in
 names a file, so subcommands compose in shell pipelines.  verify is the
 exception: without --in it runs its own --max-n census and leaves stdin
-unread, so piped graphs need --in /dev/stdin.
+unread, so piped graphs need --in /dev/stdin.  `codec` parses each input
+record only when it is reached, so one graph is held at a time.
 
 Exit status: 0 success, 1 domain errors (with the violated precondition
 named on stderr) or a closed stdout, 2 usage errors, 3 when verify found
-violations.
+violations.  A malformed record exits 1 after the output of the records
+before it, and verify then writes no summary line.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 from .codec import (
     _is_int,
     parse_edgelist_stream,
-    parse_graph6,
+    parse_graph6_stream,
     report_lines,
     write_edgelist,
     write_graph6,
@@ -63,14 +65,6 @@ def _read_text(args: argparse.Namespace) -> str:
         args.parser.error(f"cannot read --in {args.infile}: {exc.strerror}")
 
 
-def _input_graphs(args: argparse.Namespace) -> list[Graph]:
-    return [
-        parse_graph6(line)
-        for line in _read_text(args).splitlines()
-        if line.strip()
-    ]
-
-
 def _edge_label(g: Graph, e: int) -> str:
     u, v = g.endpoints(e)
     return f"{u}-{v}"
@@ -78,7 +72,7 @@ def _edge_label(g: Graph, e: int) -> str:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     param = parse_parameter(args.param)
-    for g in _input_graphs(args):
+    for g in parse_graph6_stream(_read_text(args)):
         result = solve_min(g, param)
         if param.on_edges:
             items = [_edge_label(g, e) for e in sorted(result.witness)]
@@ -89,29 +83,23 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_twins(args: argparse.Namespace) -> int:
-    for g in _input_graphs(args):
+    for g in parse_graph6_stream(_read_text(args)):
         rep = twin_report(g)
-        print(
-            json.dumps(
-                {
-                    "open_vertex_pairs": [list(p) for p in rep.open_vertex_pairs],
-                    "closed_vertex_pairs": [list(p) for p in rep.closed_vertex_pairs],
-                    "open_edge_pairs": [
-                        [_edge_label(g, e), _edge_label(g, f)]
-                        for e, f in rep.open_edge_pairs
-                    ],
-                    "closed_edge_pairs": [
-                        [_edge_label(g, e), _edge_label(g, f)]
-                        for e, f in rep.closed_edge_pairs
-                    ],
-                }
-            )
+        open_e, closed_e = (
+            [[_edge_label(g, e), _edge_label(g, f)] for e, f in pairs]
+            for pairs in (rep.open_edge_pairs, rep.closed_edge_pairs)
         )
+        print(json.dumps({
+            "open_vertex_pairs": rep.open_vertex_pairs,  # tuples dump as lists
+            "closed_vertex_pairs": rep.closed_vertex_pairs,
+            "open_edge_pairs": open_e,
+            "closed_edge_pairs": closed_e,
+        }))
     return 0
 
 
 def _cmd_linegraph(args: argparse.Namespace) -> int:
-    for g in _input_graphs(args):
+    for g in parse_graph6_stream(_read_text(args)):
         print(write_graph6(line_graph(g).line))
     return 0
 
@@ -142,7 +130,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     summary = TheoremSummary(args.theorem)
     if args.infile is not None:
-        reports = iter_reports(_input_graphs(args), args.theorem, summary)
+        graphs = parse_graph6_stream(_read_text(args))
+        reports = iter_reports(graphs, args.theorem, summary)
         lines = (line + "\n" for line in report_lines(reports))
     else:
         specs = [
@@ -156,11 +145,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    if args.source == "graph6":
-        graphs = _input_graphs(args)
-    else:
-        graphs = parse_edgelist_stream(_read_text(args))
-    for g in graphs:
+    read = parse_graph6_stream if args.source == "graph6" else parse_edgelist_stream
+    for g in read(_read_text(args)):
         if args.target == "graph6":
             print(write_graph6(g))
         else:

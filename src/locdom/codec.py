@@ -11,6 +11,10 @@ the order byte and the 63 offsets (`mask_graph6` adds one precomputed sum
 of table bits per byte of its edge mask); the parser subtracts the empty
 record, keeps the pairs whose bit is set, and rejects any bit left over.
 
+Both stream readers, `parse_graph6_stream` (one record per non-blank line)
+and `parse_edgelist_stream`, are generators that parse a record when it is
+consumed, so a malformed one raises after the records before it.
+
 Reports are one JSON object per line with a fixed key order, so verification
 output can be streamed, diffed bytewise, and split across shards.
 """
@@ -22,7 +26,7 @@ import re
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .core import Graph
+from .core import Graph, pair_table
 from .errors import (
     BadCharacterError,
     BadLengthError,
@@ -67,6 +71,13 @@ def parse_graph6(line: str) -> Graph:
     return Graph._from_canonical(n, pairs)
 
 
+def parse_graph6_stream(text: str) -> Iterator[Graph]:
+    """Decode one graph6 record per non-blank line, each as it is consumed."""
+    for line in text.splitlines():
+        if line.strip():
+            yield parse_graph6(line)
+
+
 def write_graph6(g: Graph) -> str:
     """Encode a graph as one short-form graph6 record."""
     if g.n > 62:
@@ -79,7 +90,7 @@ def write_graph6(g: Graph) -> str:
 
 def mask_graph6(n: int, mask: int) -> str:
     """graph6 of the graph whose edges are the set bits of mask, bit k
-    standing for the k-th vertex pair (u, v), u < v, in lexicographic order.
+    standing for pair k of pair_table(n).
 
     Lets a caller that holds only an edge mask skip building a Graph.
     """
@@ -95,14 +106,14 @@ def mask_graph6(n: int, mask: int) -> str:
 def _graph6_layout(n: int) -> tuple[int, int, dict[tuple[int, int], int]]:
     """The byte count of an n-vertex record, the record of the empty graph
     on n vertices read as a big-endian integer, and the bit that each vertex
-    pair (u, v), u < v, sets in that integer, keyed in lexicographic order:
-    pair k = v(v-1)/2 + u is bit 5 - k % 6 of payload byte k // 6."""
+    pair (u, v), u < v, sets in that integer, keyed in pair_table(n) order:
+    at its column-major position k = v(v-1)/2 + u, it is bit 5 - k % 6 of
+    payload byte k // 6."""
     nbytes = (n * (n - 1) // 2 + 5) // 6
     slots = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            group, offset = divmod(v * (v - 1) // 2 + u, 6)
-            slots[u, v] = 1 << 8 * (nbytes - 1 - group) + 5 - offset
+    for u, v in pair_table(n):
+        group, offset = divmod(v * (v - 1) // 2 + u, 6)
+        slots[u, v] = 1 << 8 * (nbytes - 1 - group) + 5 - offset
     return 1 + nbytes, int.from_bytes(bytes([63 + n]) + b"?" * nbytes, "big"), slots
 
 
@@ -130,17 +141,17 @@ def parse_edgelist(text: str) -> Graph:
     return _edgelist_record(text.split())
 
 
-def parse_edgelist_stream(text: str) -> list[Graph]:
-    """Decode a stream of edge-list records, each ended by its count m; a
-    record without a valid count runs to the end and fails its own checks."""
+def parse_edgelist_stream(text: str) -> Iterator[Graph]:
+    """Decode a stream of edge-list records, each ended by its count m, as
+    they are consumed; a record without a valid count runs to the end and
+    fails its own checks."""
     tokens = text.split()
-    graphs, pos = [], 0
+    pos = 0
     while pos < len(tokens):
         m = tokens[pos + 1:pos + 2]
         end = pos + 2 + 2 * max(0, int(m[0])) if m and _is_int(m[0]) else len(tokens)
-        graphs.append(_edgelist_record(tokens[pos:end]))
+        yield _edgelist_record(tokens[pos:end])
         pos = end
-    return graphs
 
 
 def _edgelist_record(tokens: list[str]) -> Graph:

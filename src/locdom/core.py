@@ -3,11 +3,13 @@
 Vertices are the integers 0..n-1.  Edges are normalised to (u, v) with u < v
 and stored sorted lexicographically; the position of an edge in that tuple is
 its canonical index, and every other module (solvers, codecs, reports) refers
-to edges by that index.  Adjacency is precomputed two ways as Python ints
-used as bitsets: neighbour mask per vertex and adjacent-edge mask per edge.
-Feasibility loops elsewhere then reduce to integer AND/OR, which is what
-keeps exhaustive runs affordable.  `bfs_layers`, the package's one
-breadth-first search, serves both connectivity and the tree construction.
+to edges by that index.  Bit k of an edge mask on n vertices stands for pair
+k of `pair_table(n)`, which the enumerator and the graph6 codec both read.
+Adjacency is precomputed two ways as Python ints used as bitsets: neighbour
+mask per vertex and adjacent-edge mask per edge.  Feasibility loops
+elsewhere then reduce to integer AND/OR, which is what keeps exhaustive
+runs affordable.  `bfs_layers`, the package's one breadth-first search,
+serves both connectivity and the tree construction.
 
 No size caps: Python ints are unbounded, so a graph of any order or size
 fits the bitsets; exact solving, not the representation, is what limits
@@ -17,6 +19,7 @@ the practical size.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -33,6 +36,13 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@lru_cache(maxsize=None)
+def pair_table(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs (u, v), u < v, on n vertices in lexicographic order;
+    bit k of an edge mask stands for pair k."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
 class Graph:
@@ -65,6 +75,12 @@ class Graph:
         g._fill(n, edges)
         return g
 
+    @classmethod
+    def _from_mask(cls, n: int, mask: int) -> "Graph":
+        """The graph whose edges are the pairs of pair_table(n) at mask's set bits."""
+        pairs = pair_table(n)
+        return cls._from_canonical(n, tuple(pairs[k] for k in bits(mask)))
+
     def _fill(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
         self.n = n
         self.edges = edges
@@ -93,9 +109,6 @@ class Graph:
         if not (0 <= e < self.m):
             raise EdgeRangeError(f"edge index {e} outside range [0, {self.m})")
         return e
-
-    def degree(self, v: int) -> int:
-        return self.vadj[self.check_vertex(v)].bit_count()
 
     def edge_id(self, u: int, v: int) -> int:
         """Canonical index of the edge {u, v}."""

@@ -7,13 +7,13 @@ them).  Edge-twins of G are the vertex twins of L(G), so one grouping by
 neighbour mask, `g.vadj` or `g.eadj`, open and closed, serves both levels,
 and every reader below takes its answer from it.
 
-`check_observation1` re-verifies on a connected graph the two structural
-facts about edge-twins that a graph could fail and the bound proofs lean
-on: open edge-twins force the whole graph into one of five four-vertex
-shapes (the connected graphs on four vertices other than K_{1,3}), and an
-edge has at most one open twin.  The rest of the catalogue holds by the
-definitions alone.  Violations come back as data, never as exceptions, so
-the exhaustive harness can stream the check over a census.
+`check_observation1` re-checks on a connected graph two facts about
+edge-twins that the bound proofs lean on: open edge-twins force the whole
+graph into one of five four-vertex shapes (the connected graphs on four
+vertices other than K_{1,3}), and an edge has at most one open twin.  Like
+the rest of the catalogue, both follow from the definitions, so no graph
+fails them: the check guards the twin scan, not graphs.  Violations come
+back as data, never as exceptions, so the harness can stream the check.
 """
 
 from __future__ import annotations
@@ -98,11 +98,15 @@ def check_observation1(g: Graph) -> list[str]:
 
     Items checked, on a connected graph: (b) open edge-twins only occur in
     P_4, C_4, the paw, the diamond, or K_4; (e) no edge has two open twins.
-    The other items hold by the definitions of the twins, so no graph can
-    fail them:
+    Every item holds by the definitions of the twins, so only a fault in
+    the twin scan that (b) and (e) read can fail them:
     (a) open edge-twins share no endpoint and closed ones share one: f in
     N(e) = N(f) would make f its own neighbour, and f in N[f] = N[e]
     makes f adjacent to e.
+    (b) for open twins e = ab, f = cd, disjoint by (a), every other edge at
+    a or b lies in N(e) = N(f), so it ends in {c, d}, and the same holds
+    the other way round; so {a, b, c, d} is a component, hence the whole
+    graph, and with two disjoint edges it is not K_{1,3}.
     (c) for closed edge-twins e = vu, f = vw, every edge adjacent to either
     touches v or is uw, and deg u = deg w is 1 or 2: an edge at u other
     than e lies in N[e] = N[f], so it touches v or w, and touching v would
@@ -110,6 +114,8 @@ def check_observation1(g: Graph) -> list[str]:
     uw is an edge and 1 if not.
     (d) no edge has both an open twin h and a closed twin f: f in N(e) =
     N(h) puts h in N[f] = N[e], so h, not being e, lies in N(e) = N(h).
+    (e) by (a) and (b), open twins are disjoint edges of a 4-vertex graph,
+    where an edge is disjoint from only one other edge.
     """
     if not is_connected(g):
         raise NotConnectedError("the edge-twin structure facts assume a connected graph")

@@ -1,7 +1,7 @@
 """Exhaustive small-graph enumeration and the bound-checking harness.
 
-Labeled graphs on n vertices are the masks 0..2^C(n,2)-1 over the
-lexicographic list of vertex pairs, so a census is a plain integer loop.
+Labeled graphs on n vertices are the masks 0..2^C(n,2)-1 over
+`core.pair_table(n)`, so a census is a plain integer loop.
 One classifying scan serves every stream: it keeps a class-index table
 with one 16-bit slot per labeled mask.  The first mask of an unseen
 isomorphism class gets its connectivity and its complement's tested, and
@@ -51,7 +51,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .codec import mask_graph6, report_tail, write_graph6
-from .core import Graph, bits, is_connected, masks_connected
+from .core import Graph, is_connected, masks_connected, pair_table
 from .errors import LocdomError, SizeLimitError
 from .linegraph import line_graph
 from .solvers import solve_min
@@ -80,16 +80,6 @@ class EnumerationSpec:
 
 
 @lru_cache(maxsize=None)
-def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
-
-
-@lru_cache(maxsize=None)
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {p: i for i, p in enumerate(_pair_table(n))}
-
-
-@lru_cache(maxsize=None)
 def _plain_changes(n: int) -> tuple[int, ...]:
     """Steinhaus-Johnson-Trotter: swapping labels i, i + 1 for each i in turn
     walks through all n! relabelings, each once."""
@@ -111,15 +101,14 @@ def _relabel_steps(n: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]
     _plain_changes order.  Each step swaps two labels through two lookup
     tables, one over the mask's low split bits and one over the rest:
     mask -> low[mask & (1 << split) - 1] | high[mask >> split]."""
-    pairs = _pair_table(n)
-    index = _pair_index(n)
+    pairs = pair_table(n)
     split = (len(pairs) + 1) // 2
     tables = []
     for i in range(n - 1):
         swap = {i: i + 1, i + 1: i}
         halves = ([0], [0])
         for k, (u, v) in enumerate(pairs):  # slot k doubles its half's table
-            bit = 1 << index[tuple(sorted((swap.get(u, u), swap.get(v, v))))]
+            bit = 1 << pairs.index(tuple(sorted((swap.get(u, u), swap.get(v, v)))))
             table = halves[k >= split]
             table += [t | bit for t in table]
         tables.append(tuple(map(tuple, halves)))
@@ -145,7 +134,7 @@ def _classified(spec: EnumerationSpec) -> Iterator[tuple[int, int]]:
     self-complementary); indices are keys, neither dense nor in order of
     first appearance.  The largest, 2 * 12,346 + 1 at n = 8, fits 16 bits."""
     n = spec.n
-    size = 1 << len(_pair_table(n))
+    size = 1 << len(pair_table(n))
     full = size - 1
     classes = array("H", [0]) * size
     passes = [False, False]  # per class index: does it pass the connectivity filter
@@ -157,7 +146,7 @@ def _classified(spec: EnumerationSpec) -> Iterator[tuple[int, int]]:
         if c == 1:
             c = len(passes)
             passes += (
-                not spec.connected_only or masks_connected(_mask_graph(n, m).vadj)
+                not spec.connected_only or masks_connected(Graph._from_mask(n, m).vadj)
                 for m in (mask, full ^ mask)
             )
             for r in _relabelings(mask, n):
@@ -174,11 +163,6 @@ def _classified(spec: EnumerationSpec) -> Iterator[tuple[int, int]]:
         yield c, mask
 
 
-def _mask_graph(n: int, mask: int) -> Graph:
-    pairs = _pair_table(n)
-    return Graph._from_canonical(n, tuple(pairs[i] for i in bits(mask)))
-
-
 def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
     """Yield every labeled graph on exactly spec.n vertices, filtered per spec.
 
@@ -189,7 +173,7 @@ def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
     represented by its first mask in scan order (within the shard).
     """
     for _, mask in _classified(spec):
-        yield _mask_graph(spec.n, mask)
+        yield Graph._from_mask(spec.n, mask)
 
 
 def canonical_form(g: Graph) -> int:
@@ -198,8 +182,8 @@ def canonical_form(g: Graph) -> int:
         raise SizeLimitError(
             f"canonical forms are computed by permutation search, capped at n <= {MAX_ENUM_VERTICES}"
         )
-    index = _pair_index(g.n)
-    return min(_relabelings(sum(1 << index[e] for e in g.edges), g.n))
+    pairs = pair_table(g.n)
+    return min(_relabelings(sum(1 << pairs.index(e) for e in g.edges), g.n))
 
 
 @dataclass(frozen=True)
@@ -369,7 +353,7 @@ def census_lines(
         for c, mask in _classified(spec):
             tail = tails.get(c)
             if tail is None:
-                report = reports[c] = check_graph(_mask_graph(n, mask), theorem)
+                report = reports[c] = check_graph(Graph._from_mask(n, mask), theorem)
                 tail = tails[c] = '"' + report_tail(report) + "\n"
                 if report.check is not None and not report.check.holds:
                     failing.add(c)

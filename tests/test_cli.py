@@ -132,6 +132,36 @@ def test_undecodable_stdin_exits_without_traceback():
     assert proc.stdout == b""
 
 
+@pytest.mark.parametrize(
+    "command, first",
+    (
+        (["solve", "--param", "dom"], "2 0 3\n"),
+        (
+            ["verify", "--theorem", "weld_half"],
+            '{"graph6": "EhEG", "n": 6, "m": 6, "param": "weld", "value": 3,'
+            ' "bound": "3", "margin": "0"}\n',
+        ),
+    ),
+    ids=("solve", "verify"),
+)
+def test_records_before_a_malformed_one_are_output(tmp_path, command, first):
+    # records are parsed as they are reached, so C6 is answered before the
+    # padding bit of the next record stops the run; verify writes no summary
+    path = tmp_path / "graphs.g6"
+    path.write_text("EhEG\nBx\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "locdom.cli", *command, "--in", str(path)],
+        capture_output=True,
+        text=True,
+        env=CLI_ENV,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == first
+    assert "padding" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_solve_unknown_parameter_is_usage_error(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--param", "gamma"])

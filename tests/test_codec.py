@@ -32,8 +32,7 @@ from locdom import (
     write_graph6,
 )
 from locdom.cli import main
-from locdom.codec import mask_graph6, parse_edgelist_stream
-from locdom.verify import _mask_graph
+from locdom.codec import mask_graph6, parse_edgelist_stream, parse_graph6_stream
 from conftest import random_graph, random_graph_capped
 
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -137,8 +136,8 @@ def test_mask_graph6_matches_write_graph6_on_every_mask():
     for n in range(7):
         for mask in range(1 << n * (n - 1) // 2):
             g6 = mask_graph6(n, mask)
-            assert g6 == write_graph6(_mask_graph(n, mask)), (n, mask)
-            assert parse_graph6(g6) == _mask_graph(n, mask), (n, mask)
+            assert g6 == write_graph6(Graph._from_mask(n, mask)), (n, mask)
+            assert parse_graph6(g6) == Graph._from_mask(n, mask), (n, mask)
 
 
 def test_nonzero_padding_bits_are_rejected(tmp_path, capsys):
@@ -197,25 +196,35 @@ def test_edgelist_errors():
 def test_edgelist_stream():
     graphs = [P3, Graph(4), Graph(2, [(0, 1)]), Graph(0), C6, Graph(1)]
     text = "".join(map(write_edgelist, graphs))
-    assert parse_edgelist_stream(text) == graphs
-    assert parse_edgelist_stream(" ".join(text.split())) == graphs
-    assert parse_edgelist_stream("") == parse_edgelist_stream(" \n ") == []
+    assert list(parse_edgelist_stream(text)) == graphs
+    assert list(parse_edgelist_stream(" ".join(text.split()))) == graphs
+    assert list(parse_edgelist_stream("")) == list(parse_edgelist_stream(" \n ")) == []
     # two records are not one
     with pytest.raises(HeaderMismatchError):
         parse_edgelist("3 1\n0 1\n2 0\n")
     # a header cut short after a complete record
     with pytest.raises(HeaderMismatchError):
-        parse_edgelist_stream("3 1\n0 1\n4\n")
+        list(parse_edgelist_stream("3 1\n0 1\n4\n"))
     # a record short of its declared edges, and a negative count
     with pytest.raises(HeaderMismatchError):
-        parse_edgelist_stream("2 0\n3 2\n0 1\n")
+        list(parse_edgelist_stream("2 0\n3 2\n0 1\n"))
     with pytest.raises(HeaderMismatchError):
-        parse_edgelist_stream("2 0\n3 -1\n0 1\n")
+        list(parse_edgelist_stream("2 0\n3 -1\n0 1\n"))
     for bad in ("3 1\n0 1\n4 x\n0 1\n", "3 1\n0 1\nx 1\n0 1\n", "3 1\n0 y\n"):
         with pytest.raises(CodecError, match="non-integer"):
-            parse_edgelist_stream(bad)
+            list(parse_edgelist_stream(bad))
     with pytest.raises(VertexRangeError):
-        parse_edgelist_stream("2 0\n2 1\n0 5\n")
+        list(parse_edgelist_stream("2 0\n2 1\n0 5\n"))
+
+
+def test_graph6_stream_parses_each_record_when_it_is_reached():
+    stream = parse_graph6_stream("EhEG\n\n  Bw \nBx\n")
+    assert next(stream) == C6
+    assert next(stream) == K3  # the blank line is no record
+    with pytest.raises(BadCharacterError, match="padding"):
+        next(stream)
+    assert list(parse_graph6_stream(">>graph6<<Bw\nBg")) == [K3, P3]
+    assert list(parse_graph6_stream("")) == list(parse_graph6_stream(" \n\n ")) == []
 
 
 def test_edgelist_integers_are_ascii_decimals():
@@ -242,9 +251,10 @@ TOKENS = st.lists(
 def _parses_or_raises_locdom_error(parse, text):
     try:
         out = parse(text)
+        graphs = [out] if isinstance(out, Graph) else list(out)  # a stream parses here
     except LocdomError:
         return
-    assert all(isinstance(g, Graph) for g in (out if isinstance(out, list) else [out]))
+    assert all(isinstance(g, Graph) for g in graphs)
 
 
 @FUZZ
@@ -255,6 +265,7 @@ def test_parsers_fuzz_arbitrary_text(text):
     _parses_or_raises_locdom_error(parse_graph6, text)
     _parses_or_raises_locdom_error(parse_edgelist, text)
     _parses_or_raises_locdom_error(parse_edgelist_stream, text)
+    _parses_or_raises_locdom_error(parse_graph6_stream, text)
 
 
 @FUZZ
@@ -263,6 +274,7 @@ def test_parsers_fuzz_token_lists(tokens):
     _parses_or_raises_locdom_error(parse_graph6, "".join(tokens))
     _parses_or_raises_locdom_error(parse_edgelist, " ".join(tokens))
     _parses_or_raises_locdom_error(parse_edgelist_stream, " ".join(tokens))
+    _parses_or_raises_locdom_error(parse_graph6_stream, "\n".join(tokens))
 
 
 def test_report_check_line_format():

@@ -32,9 +32,9 @@ def test_spider_shapes():
     assert spider_weld_tree(0, 1) == Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     g = spider_weld_tree(2, 1)
     assert (g.n, g.m) == (9, 8)
-    assert g.degree(0) == 3
+    assert g.vadj[0].bit_count() == 3
     assert nx.is_tree(to_networkx(g))
-    assert [g.degree(v) for v in range(g.n)].count(1) == 3
+    assert list(map(int.bit_count, g.vadj)).count(1) == 3
 
 
 def test_spider_errors():

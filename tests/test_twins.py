@@ -22,6 +22,7 @@ from locdom import (
     named_graph,
     twin_report,
 )
+from locdom import twins
 from locdom.twins import _is_open_twin_shape
 from conftest import class_reps, edge_nbrs, nbrs, nx_isomorphic, random_graph, ref_edge_twin_pairs
 
@@ -138,6 +139,19 @@ def test_open_twin_shapes_are_the_connected_four_vertex_graphs_but_the_claw():
             assert _is_open_twin_shape(g) == expected, g.edges
 
 
+def test_observation_reports_a_false_open_twin_pair(monkeypatch):
+    # no graph fails (b), so a scan that invents a pair must be what trips it:
+    # the two end edges of P5 reported as open twins of each other
+    real = twins._twin_masks
+
+    def scan_with_false_pair(adj):
+        open_masks, closed_masks = real(adj)
+        return (open_masks[0] | 1 << 3, *open_masks[1:3], open_masks[3] | 1), closed_masks
+
+    monkeypatch.setattr(twins, "_twin_masks", scan_with_false_pair)
+    assert check_observation1(P5) == ["b: open edge-twins present in an unexpected graph shape"]
+
+
 def test_observation_requires_connectivity():
     with pytest.raises(NotConnectedError):
         check_observation1(Graph(4, [(0, 1), (2, 3)]))
@@ -162,7 +176,8 @@ def _violates_closed_twin_uniqueness(g: Graph) -> bool:
         (v,) = shared
         u = next(x for x in g.endpoints(e) if x != v)
         w = next(x for x in g.endpoints(f) if x != v)
-        if g.degree(u) == 2 == g.degree(w) and (counts[e] > 1 or counts[f] > 1):
+        ends_of_degree_2 = g.vadj[u].bit_count() == 2 == g.vadj[w].bit_count()
+        if ends_of_degree_2 and (counts[e] > 1 or counts[f] > 1):
             return True
     return False
 
