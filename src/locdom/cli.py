@@ -6,8 +6,8 @@ catalogue generators), verify (the exhaustive bound harness), encode
 (format conversion).  Graphs arrive as graph6 lines on stdin unless --in
 names a file, so subcommands compose in shell pipelines.  verify is the
 exception: without --in it runs its own --max-n census and leaves stdin
-unread, so piped graphs need --in /dev/stdin.  `codec` parses each input
-record only when it is reached, so one graph is held at a time.
+unread, so piped graphs need --in /dev/stdin.  Input is read line by line
+and `codec` parses each record when it is reached, so one is held at a time.
 
 Exit status: 0 success, 1 domain errors (with the violated precondition
 named on stderr) or a closed stdout, 2 usage errors, 3 when verify found
@@ -18,10 +18,13 @@ before it, and verify then writes no summary line.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
-from pathlib import Path
+from itertools import chain
+from typing import Iterator
 
 from .codec import (
     _is_int,
@@ -47,22 +50,29 @@ from .verify import (
 )
 
 
-def _read_text(args: argparse.Namespace) -> str:
-    """stdin, or the --in file; an unreadable path is a usage error.
-
-    Both are read as UTF-8, whatever the interpreter's own error handler:
-    undecodable bytes become lone surrogates, which the parsers reject as
-    bad characters.  A text stream without a byte buffer is read as it is.
-    """
-    if args.infile is None:
-        buffer = getattr(sys.stdin, "buffer", None)
-        if buffer is None:
-            return sys.stdin.read()
-        return buffer.read().decode("utf-8", errors="surrogateescape")
-    try:
-        return Path(args.infile).read_text(encoding="utf-8", errors="surrogateescape")
-    except OSError as exc:
-        args.parser.error(f"cannot read --in {args.infile}: {exc.strerror}")
+@contextlib.contextmanager
+def _input_lines(args: argparse.Namespace) -> Iterator[Iterator[str]]:
+    """The lines of stdin, or of the --in file, cut where str.splitlines cuts
+    text; the file is closed when the command ends, and an unreadable path is
+    a usage error.  Both are read as UTF-8, whatever the interpreter's error
+    handler: undecodable bytes, a sequence cut short at the end included,
+    become lone surrogates, which the parsers reject as bad characters.  A
+    text stream without a byte buffer is read as it is."""
+    with contextlib.ExitStack() as stack:
+        if args.infile is not None:
+            try:
+                stream = open(args.infile, encoding="utf-8", errors="surrogateescape")
+            except OSError as exc:
+                args.parser.error(f"cannot read --in {args.infile}: {exc.strerror}")
+            stack.enter_context(stream)
+        elif hasattr(sys.stdin, "buffer"):
+            stream = io.TextIOWrapper(sys.stdin.buffer, "utf-8", "surrogateescape")
+            stack.callback(stream.detach)  # closing the wrapper would close stdin
+        else:
+            stream = sys.stdin
+        # a text stream cuts lines at \n and \r alone; splitlines also cuts
+        # at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029
+        yield chain.from_iterable(map(str.splitlines, stream))
 
 
 def _edge_label(g: Graph, e: int) -> str:
@@ -70,37 +80,43 @@ def _edge_label(g: Graph, e: int) -> str:
     return f"{u}-{v}"
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _render_solve(args: argparse.Namespace, g: Graph) -> str:
     param = parse_parameter(args.param)
-    for g in parse_graph6_stream(_read_text(args)):
-        result = solve_min(g, param)
-        if param.on_edges:
-            items = [_edge_label(g, e) for e in sorted(result.witness)]
-        else:
-            items = [str(v) for v in sorted(result.witness)]
-        print(" ".join([str(result.value)] + items))
-    return 0
+    result = solve_min(g, param)
+    items = [_edge_label(g, x) if param.on_edges else str(x) for x in sorted(result.witness)]
+    return " ".join([str(result.value)] + items) + "\n"
 
 
-def _cmd_twins(args: argparse.Namespace) -> int:
-    for g in parse_graph6_stream(_read_text(args)):
-        rep = twin_report(g)
-        open_e, closed_e = (
-            [[_edge_label(g, e), _edge_label(g, f)] for e, f in pairs]
-            for pairs in (rep.open_edge_pairs, rep.closed_edge_pairs)
-        )
-        print(json.dumps({
-            "open_vertex_pairs": rep.open_vertex_pairs,  # tuples dump as lists
-            "closed_vertex_pairs": rep.closed_vertex_pairs,
-            "open_edge_pairs": open_e,
-            "closed_edge_pairs": closed_e,
-        }))
-    return 0
+def _render_twins(args: argparse.Namespace, g: Graph) -> str:
+    rep = twin_report(g)
+    open_e, closed_e = (
+        [[_edge_label(g, e), _edge_label(g, f)] for e, f in pairs]
+        for pairs in (rep.open_edge_pairs, rep.closed_edge_pairs)
+    )
+    return json.dumps({
+        "open_vertex_pairs": rep.open_vertex_pairs,  # tuples dump as lists
+        "closed_vertex_pairs": rep.closed_vertex_pairs,
+        "open_edge_pairs": open_e,
+        "closed_edge_pairs": closed_e,
+    }) + "\n"
 
 
-def _cmd_linegraph(args: argparse.Namespace) -> int:
-    for g in parse_graph6_stream(_read_text(args)):
-        print(write_graph6(line_graph(g).line))
+def _render_linegraph(args: argparse.Namespace, g: Graph) -> str:
+    return write_graph6(line_graph(g).line) + "\n"
+
+
+def _render_encode(args: argparse.Namespace, g: Graph) -> str:
+    return write_graph6(g) + "\n" if args.target == "graph6" else write_edgelist(g)
+
+
+_READERS = {"graph6": parse_graph6_stream, "edgelist": parse_edgelist_stream}
+
+
+def _cmd_records(args: argparse.Namespace) -> int:
+    """solve, twins, linegraph and encode: one output per input record."""
+    with _input_lines(args) as lines:
+        graphs = _READERS[args.source](lines)
+        sys.stdout.writelines(args.render(args, g) for g in graphs)
     return 0
 
 
@@ -130,28 +146,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     summary = TheoremSummary(args.theorem)
     if args.infile is not None:
-        graphs = parse_graph6_stream(_read_text(args))
-        reports = iter_reports(graphs, args.theorem, summary)
-        lines = (line + "\n" for line in report_lines(reports))
+        with _input_lines(args) as lines:
+            reports = iter_reports(parse_graph6_stream(lines), args.theorem, summary)
+            sys.stdout.writelines(line + "\n" for line in report_lines(reports))
     else:
         specs = [
             EnumerationSpec(n, not args.include_disconnected, shard=args.shard or (0, 1))
             for n in range(1, (args.max_n or 6) + 1)
         ]
-        lines = census_lines(specs, args.theorem, summary)
-    sys.stdout.writelines(lines)
+        sys.stdout.writelines(census_lines(specs, args.theorem, summary))
     sys.stdout.write(summary.to_json() + "\n")
     return 3 if summary.violations else 0
-
-
-def _cmd_encode(args: argparse.Namespace) -> int:
-    read = parse_graph6_stream if args.source == "graph6" else parse_edgelist_stream
-    for g in read(_read_text(args)):
-        if args.target == "graph6":
-            print(write_graph6(g))
-        else:
-            sys.stdout.write(write_edgelist(g))
-    return 0
 
 
 def _shard_arg(text: str) -> tuple[int, int]:
@@ -175,13 +180,10 @@ def _max_n_arg(text: str) -> int:
     return n
 
 
-def _add_input_option(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--in",
-        dest="infile",
-        metavar="PATH",
-        help="read graph6 lines from PATH instead of stdin",
-    )
+def _add_input_option(
+    sub: argparse.ArgumentParser, help: str = "read graph6 lines from PATH instead of stdin"
+) -> None:
+    sub.add_argument("--in", dest="infile", metavar="PATH", help=help)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,15 +202,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="dom, tdom, ld, ltd, eld, eltd, or weld (long aliases accepted)",
     )
     _add_input_option(p)
-    p.set_defaults(func=_cmd_solve, parser=p)
+    p.set_defaults(func=_cmd_records, render=_render_solve, source="graph6", parser=p)
 
     p = subs.add_parser("twins", help="vertex and edge twin pairs as JSON lines")
     _add_input_option(p)
-    p.set_defaults(func=_cmd_twins, parser=p)
+    p.set_defaults(func=_cmd_records, render=_render_twins, source="graph6", parser=p)
 
     p = subs.add_parser("linegraph", help="emit the line graph as graph6")
     _add_input_option(p)
-    p.set_defaults(func=_cmd_linegraph, parser=p)
+    p.set_defaults(func=_cmd_records, render=_render_linegraph, source="graph6", parser=p)
 
     p = subs.add_parser("gen", help="generate family members or named graphs")
     p.add_argument("--family", required=True, choices=("spider", "substar", "named"))
@@ -228,11 +230,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enumerate all graphs, not just connected ones",
     )
-    p.add_argument(
-        "--in",
-        dest="infile",
-        metavar="PATH",
-        help="check the graph6 lines in PATH instead of running the --max-n census;"
+    _add_input_option(
+        p,
+        "check the graph6 lines in PATH instead of running the --max-n census;"
         " stdin is never read, so use --in /dev/stdin for piped input",
     )
     p.set_defaults(func=_cmd_verify, parser=p)
@@ -241,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", required=True, choices=("graph6", "edgelist"))
     p.add_argument("--to", dest="target", required=True, choices=("graph6", "edgelist"))
     _add_input_option(p)
-    p.set_defaults(func=_cmd_encode, parser=p)
+    p.set_defaults(func=_cmd_records, render=_render_encode, parser=p)
 
     return parser
 

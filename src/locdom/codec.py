@@ -12,8 +12,10 @@ of table bits per byte of its edge mask); the parser subtracts the empty
 record, keeps the pairs whose bit is set, and rejects any bit left over.
 
 Both stream readers, `parse_graph6_stream` (one record per non-blank line)
-and `parse_edgelist_stream`, are generators that parse a record when it is
-consumed, so a malformed one raises after the records before it.
+and `parse_edgelist_stream`, take an iterable of lines, such as an open
+file or `text.splitlines()`, and refuse a str.  They are generators that
+parse a record when it is consumed, so a malformed one raises after the
+records before it, and only the record being read is held in memory.
 
 Reports are one JSON object per line with a fixed key order, so verification
 output can be streamed, diffed bytewise, and split across shards.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import re
 from functools import lru_cache
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import Graph, pair_table
@@ -71,9 +74,11 @@ def parse_graph6(line: str) -> Graph:
     return Graph._from_canonical(n, pairs)
 
 
-def parse_graph6_stream(text: str) -> Iterator[Graph]:
+def parse_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
     """Decode one graph6 record per non-blank line, each as it is consumed."""
-    for line in text.splitlines():
+    if isinstance(lines, str):  # it would be read one character at a time
+        raise TypeError("parse_graph6_stream takes an iterable of lines, not a str")
+    for line in lines:
         if line.strip():
             yield parse_graph6(line)
 
@@ -141,17 +146,20 @@ def parse_edgelist(text: str) -> Graph:
     return _edgelist_record(text.split())
 
 
-def parse_edgelist_stream(text: str) -> Iterator[Graph]:
+def parse_edgelist_stream(lines: Iterable[str]) -> Iterator[Graph]:
     """Decode a stream of edge-list records, each ended by its count m, as
     they are consumed; a record without a valid count runs to the end and
-    fails its own checks."""
-    tokens = text.split()
-    pos = 0
-    while pos < len(tokens):
-        m = tokens[pos + 1:pos + 2]
-        end = pos + 2 + 2 * max(0, int(m[0])) if m and _is_int(m[0]) else len(tokens)
-        yield _edgelist_record(tokens[pos:end])
-        pos = end
+    fails its own checks.  Records may span lines and share them."""
+    if isinstance(lines, str):  # it would be read one character at a time
+        raise TypeError("parse_edgelist_stream takes an iterable of lines, not a str")
+    tokens = (token for line in lines for token in line.split())
+    for n in tokens:
+        head = [n, *islice(tokens, 1)]  # 'n m', or what is left of it
+        if len(head) == 2 and _is_int(head[1]):
+            # zip takes no token past the range, which, unlike islice, takes any count
+            yield _edgelist_record(head + [t for _, t in zip(range(2 * int(head[1])), tokens)])
+        else:  # no valid count: the record runs to the end
+            yield _edgelist_record(head + list(tokens))
 
 
 def _edgelist_record(tokens: list[str]) -> Graph:

@@ -150,16 +150,7 @@ def bfs_layers(adj: Sequence[int], root: int, within: int) -> list[int]:
     return layers
 
 
-def masks_connected(adj: Sequence[int]) -> bool:
-    """True when the graph with neighbour masks adj has at most one component.
-
-    Takes the raw masks so that the enumerator can filter a candidate before
-    it builds a Graph; vacuously true for fewer than two vertices.
-    """
-    full = (1 << len(adj)) - 1
-    return len(adj) <= 1 or sum(bfs_layers(adj, 0, full)) == full
-
-
 def is_connected(g: Graph) -> bool:
     """True when g has at most one component (vacuously for n = 0)."""
-    return masks_connected(g.vadj)
+    full = (1 << g.n) - 1
+    return g.n <= 1 or sum(bfs_layers(g.vadj, 0, full)) == full

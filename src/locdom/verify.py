@@ -51,7 +51,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .codec import mask_graph6, report_tail, write_graph6
-from .core import Graph, is_connected, masks_connected, pair_table
+from .core import Graph, is_connected, pair_table
 from .errors import LocdomError, SizeLimitError
 from .linegraph import line_graph
 from .solvers import solve_min
@@ -146,7 +146,7 @@ def _classified(spec: EnumerationSpec) -> Iterator[tuple[int, int]]:
         if c == 1:
             c = len(passes)
             passes += (
-                not spec.connected_only or masks_connected(Graph._from_mask(n, m).vadj)
+                not spec.connected_only or is_connected(Graph._from_mask(n, m))
                 for m in (mask, full ^ mask)
             )
             for r in _relabelings(mask, n):

@@ -1,11 +1,13 @@
 """End-to-end coverage of every subcommand and exit code."""
 
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from itertools import chain
 from pathlib import Path
@@ -160,6 +162,79 @@ def test_records_before_a_malformed_one_are_output(tmp_path, command, first):
     assert proc.stdout == first
     assert "padding" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# six records cut by \r\n, \r, form feed, NEL and LINE SEPARATOR, each a
+# line break of str.splitlines; the answers were recorded from a reader that
+# took the whole text and split it with splitlines
+SEPARATED = b"EhEG\r\nBw\rBg\x0cCl\xc2\x85C^\xe2\x80\xa8A_\n"
+SEPARATED_DOM = "2 0 3\n1 0\n1 1\n2 0 1\n1 2\n1 0\n"
+
+
+@pytest.mark.parametrize("source", ("pipe", "file", "text"))
+def test_records_end_at_every_splitlines_break(tmp_path, capsys, monkeypatch, source):
+    argv = ["solve", "--param", "dom"]
+    if source == "text":  # a stdin without a byte buffer
+        rc, out, err = run_cli(capsys, monkeypatch, argv, stdin=SEPARATED.decode())
+    else:
+        path = tmp_path / "graphs.g6"
+        path.write_bytes(SEPARATED)
+        proc = subprocess.run(
+            [sys.executable, "-m", "locdom.cli", *argv]
+            + (["--in", str(path)] if source == "file" else []),
+            input=SEPARATED if source == "pipe" else b"",
+            capture_output=True,
+            env=CLI_ENV,
+            timeout=60,
+        )
+        rc, out, err = proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+    assert (rc, out, err) == (0, SEPARATED_DOM, "")
+
+
+@pytest.mark.parametrize("source", ("pipe", "file"))
+def test_a_utf8_sequence_cut_short_at_the_end_is_a_bad_character(tmp_path, source):
+    # the decoder is told where the input ends, so the lone lead byte is not dropped
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(b"Bw\n\xe2")
+    proc = subprocess.run(
+        [sys.executable, "-m", "locdom.cli", "solve", "--param", "dom"]
+        + (["--in", str(path)] if source == "file" else []),
+        input=path.read_bytes() if source == "pipe" else b"",
+        capture_output=True,
+        env=CLI_ENV,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b"1 0\n"
+    assert b"error: non-ASCII character" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", ("EhEG\n", "EhEG\nBx\n"), ids=("valid", "malformed"))
+@pytest.mark.parametrize(
+    "command",
+    (["solve", "--param", "dom"], ["verify", "--theorem", "weld_half"]),
+    ids=("solve", "verify"),
+)
+def test_input_file_is_closed_when_the_command_returns(
+    tmp_path, capsys, monkeypatch, command, text
+):
+    path = tmp_path / "graphs.g6"
+    path.write_text(text)
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr("locdom.cli.open", recording_open, raising=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _, _ = run_cli(capsys, monkeypatch, [*command, "--in", str(path)])
+        gc.collect()
+    assert rc == (0 if text == "EhEG\n" else 1)
+    assert len(opened) == 1 and opened[0].closed
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_solve_unknown_parameter_is_usage_error(capsys, monkeypatch):

@@ -196,35 +196,47 @@ def test_edgelist_errors():
 def test_edgelist_stream():
     graphs = [P3, Graph(4), Graph(2, [(0, 1)]), Graph(0), C6, Graph(1)]
     text = "".join(map(write_edgelist, graphs))
-    assert list(parse_edgelist_stream(text)) == graphs
-    assert list(parse_edgelist_stream(" ".join(text.split()))) == graphs
-    assert list(parse_edgelist_stream("")) == list(parse_edgelist_stream(" \n ")) == []
+    assert list(parse_edgelist_stream(text.splitlines())) == graphs
+    assert list(parse_edgelist_stream([" ".join(text.split())])) == graphs
+    assert list(parse_edgelist_stream([])) == list(parse_edgelist_stream([" ", " "])) == []
     # two records are not one
     with pytest.raises(HeaderMismatchError):
         parse_edgelist("3 1\n0 1\n2 0\n")
     # a header cut short after a complete record
     with pytest.raises(HeaderMismatchError):
-        list(parse_edgelist_stream("3 1\n0 1\n4\n"))
+        list(parse_edgelist_stream(["3 1", "0 1", "4"]))
     # a record short of its declared edges, and a negative count
     with pytest.raises(HeaderMismatchError):
-        list(parse_edgelist_stream("2 0\n3 2\n0 1\n"))
+        list(parse_edgelist_stream(["2 0", "3 2", "0 1"]))
     with pytest.raises(HeaderMismatchError):
-        list(parse_edgelist_stream("2 0\n3 -1\n0 1\n"))
+        list(parse_edgelist_stream(["2 0", "3 -1", "0 1"]))
     for bad in ("3 1\n0 1\n4 x\n0 1\n", "3 1\n0 1\nx 1\n0 1\n", "3 1\n0 y\n"):
         with pytest.raises(CodecError, match="non-integer"):
-            list(parse_edgelist_stream(bad))
+            list(parse_edgelist_stream(bad.splitlines()))
     with pytest.raises(VertexRangeError):
-        list(parse_edgelist_stream("2 0\n2 1\n0 5\n"))
+        list(parse_edgelist_stream(["2 0", "2 1", "0 5"]))
+    # records may span lines and share them
+    assert list(parse_edgelist_stream(["3", "2 0 1", "1 2 2 0"])) == [P3, Graph(2)]
+    # a count too large for any slice still runs the record to the end
+    with pytest.raises(HeaderMismatchError):
+        list(parse_edgelist_stream(["3 99999999999999999999", "0 1"]))
+
+
+def test_stream_readers_refuse_a_str():
+    # a str iterates by character, so "0 12" would read as the tokens 0, 1, 2
+    for read in (parse_graph6_stream, parse_edgelist_stream):
+        with pytest.raises(TypeError, match="iterable of lines"):
+            list(read("3 1\n0 12\n"))
 
 
 def test_graph6_stream_parses_each_record_when_it_is_reached():
-    stream = parse_graph6_stream("EhEG\n\n  Bw \nBx\n")
+    stream = parse_graph6_stream(["EhEG", "", "  Bw ", "Bx"])
     assert next(stream) == C6
     assert next(stream) == K3  # the blank line is no record
     with pytest.raises(BadCharacterError, match="padding"):
         next(stream)
-    assert list(parse_graph6_stream(">>graph6<<Bw\nBg")) == [K3, P3]
-    assert list(parse_graph6_stream("")) == list(parse_graph6_stream(" \n\n ")) == []
+    assert list(parse_graph6_stream([">>graph6<<Bw", "Bg"])) == [K3, P3]
+    assert list(parse_graph6_stream([])) == list(parse_graph6_stream([" ", "", " "])) == []
 
 
 def test_edgelist_integers_are_ascii_decimals():
@@ -264,8 +276,8 @@ def test_parsers_fuzz_arbitrary_text(text):
     # SelfLoopError and DuplicateEdgeError are documented siblings of it
     _parses_or_raises_locdom_error(parse_graph6, text)
     _parses_or_raises_locdom_error(parse_edgelist, text)
-    _parses_or_raises_locdom_error(parse_edgelist_stream, text)
-    _parses_or_raises_locdom_error(parse_graph6_stream, text)
+    _parses_or_raises_locdom_error(parse_edgelist_stream, text.splitlines())
+    _parses_or_raises_locdom_error(parse_graph6_stream, text.splitlines())
 
 
 @FUZZ
@@ -273,8 +285,8 @@ def test_parsers_fuzz_arbitrary_text(text):
 def test_parsers_fuzz_token_lists(tokens):
     _parses_or_raises_locdom_error(parse_graph6, "".join(tokens))
     _parses_or_raises_locdom_error(parse_edgelist, " ".join(tokens))
-    _parses_or_raises_locdom_error(parse_edgelist_stream, " ".join(tokens))
-    _parses_or_raises_locdom_error(parse_graph6_stream, "\n".join(tokens))
+    _parses_or_raises_locdom_error(parse_edgelist_stream, [" ".join(tokens)])
+    _parses_or_raises_locdom_error(parse_graph6_stream, "\n".join(tokens).splitlines())
 
 
 def test_report_check_line_format():
