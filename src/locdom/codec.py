@@ -42,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .verify import BoundReport
 
 _HEADER = ">>graph6<<"
+MAX_EDGELIST_VERTICES = 1 << 16  # two [0] * n lists of this size stay under 1 MB
 
 
 def parse_graph6(line: str) -> Graph:
@@ -170,6 +171,8 @@ def _edgelist_record(tokens: list[str]) -> Graph:
     if bad is not None:
         raise CodecError(f"non-integer token {bad!r} in edge list")
     n, m, *body = map(int, tokens)
+    if n > MAX_EDGELIST_VERTICES:
+        raise SizeLimitError(f"edge list declares {n} vertices, over {MAX_EDGELIST_VERTICES}")
     if m < 0:
         raise HeaderMismatchError(f"negative edge count {m}")
     if len(body) != 2 * m:
@@ -180,9 +183,9 @@ def _edgelist_record(tokens: list[str]) -> Graph:
 
 
 def _is_int(token: str) -> bool:
-    """An optional sign and the digits 0-9: `int` alone would also take
-    underscores and non-ASCII digits."""
-    return re.fullmatch("[+-]?[0-9]+", token) is not None
+    """An optional sign and 1-4,300 digits 0-9: `int` also takes underscores and
+    non-ASCII digits, and refuses more than CPython's 4,300-digit conversion limit."""
+    return re.fullmatch("[+-]?[0-9]{1,4300}", token) is not None
 
 
 def write_edgelist(g: Graph) -> str:

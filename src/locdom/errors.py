@@ -22,7 +22,7 @@ class EdgeRangeError(LocdomError):
 
 
 class SizeLimitError(LocdomError):
-    """The request exceeds a supported range: exhaustive enumeration or graph6 short form."""
+    """The request exceeds a supported range: enumeration, graph6 short form, edge-list order."""
 
 
 class CodecError(LocdomError):

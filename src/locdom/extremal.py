@@ -68,13 +68,13 @@ def named_graph(name: str) -> Graph:
         return Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     if s in ("diamond", "k4-e", "k4minuse"):
         return Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    hit = re.fullmatch(r"k1,([0-9]+)", s)
+    hit = re.fullmatch(r"k1,([0-9]{1,4300})", s)
     if hit:
         k = int(hit.group(1))
         if k < 1:
             raise TooSmallError("a star needs at least one leaf")
         return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
-    hit = re.fullmatch(r"([pck])([0-9]+)", s)
+    hit = re.fullmatch(r"([pck])([0-9]{1,4300})", s)
     if hit:
         family, num = hit.group(1), int(hit.group(2))
         if family == "p":

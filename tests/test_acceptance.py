@@ -1,8 +1,10 @@
 """Top-level acceptance checks, one test and one printed verdict line each.
 
 Every comparison is exact (integers and fractions, tolerance zero).  The
-exhaustive sweeps cover all connected graphs on up to six vertices; the
-size-six census additionally covers the seven-vertex trees, which are the
+exhaustive sweeps cover all connected graphs on up to six vertices and read
+the census that `locdom verify --max-n 6` writes, one check per isomorphism
+class; criterion 9 is the one per-graph oracle run, which must give the same
+bytes.  The size-six census additionally covers the seven-vertex trees, the
 only other connected graphs with exactly six edges.  The open-twin census
 reads one graph per isomorphism class up to seven vertices.
 """
@@ -35,6 +37,7 @@ from locdom import (
     twin_report,
     write_graph6,
 )
+from locdom.verify import census_lines
 from conftest import (
     class_reps,
     nx_isomorphic,
@@ -43,7 +46,8 @@ from conftest import (
     to_networkx,
 )
 
-SWEEP_MAX_N = 6
+# the connected graphs on 1..6 vertices, as `locdom verify --max-n 6` reads them
+SWEEP_SPECS = [EnumerationSpec(n=n) for n in range(1, 7)]
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
 
 
@@ -54,17 +58,11 @@ def _finish(num: int, label: str, ok: bool, note: str = "") -> None:
     assert ok, f"acceptance criterion {num} ({label}) failed: {note}"
 
 
-def _connected_stream():
-    return chain.from_iterable(
-        enumerate_graphs(EnumerationSpec(n=n)) for n in range(1, SWEEP_MAX_N + 1)
-    )
-
-
 def _run_theorem(theorem: str):
+    """The census stream and summary of `locdom verify --max-n 6`, without the
+    summary line."""
     summary = TheoremSummary(theorem)
-    reports = iter_reports(_connected_stream(), theorem, summary)
-    text = "".join(line + "\n" for line in report_lines(reports))
-    return text, summary
+    return "".join(census_lines(SWEEP_SPECS, theorem, summary)), summary
 
 
 def _trees(n: int) -> list[Graph]:
@@ -184,9 +182,7 @@ def test_criterion_5_extremal_exactness():
 
 
 def test_criterion_6_size_six_census():
-    summary = TheoremSummary("size6_eld3")
-    for _ in iter_reports(_connected_stream(), "size6_eld3", summary):
-        pass
+    _, summary = _run_theorem("size6_eld3")
     # connected graphs with six edges also live on seven vertices: the trees
     for _ in iter_reports(_trees(7), "size6_eld3", summary):
         pass
@@ -262,7 +258,10 @@ def test_criterion_8_classical_bounds():
 def test_criterion_9_determinism_and_roundtrip(weld_sweep):
     first_text, _, _ = weld_sweep
     second_text, _ = _run_theorem("weld_half")
-    deterministic = first_text == second_text
+    # the oracle: check_graph on every labeled graph, one at a time
+    graphs = chain.from_iterable(map(enumerate_graphs, SWEEP_SPECS))
+    per_graph = "".join(line + "\n" for line in report_lines(iter_reports(graphs, "weld_half")))
+    deterministic = first_text == second_text == per_graph
 
     rng = random.Random(42)
     bad = 0
@@ -272,7 +271,7 @@ def test_criterion_9_determinism_and_roundtrip(weld_sweep):
             bad += 1
     _finish(
         9,
-        "byte-identical reruns and 10000 graph6 round-trips",
+        "census, its rerun and the per-graph run byte-identical; 10000 graph6 round-trips",
         deterministic and bad == 0,
         f"stream_bytes={len(first_text)}, roundtrip_failures={bad}",
     )

@@ -290,7 +290,8 @@ def test_gen_usage_errors(capsys, monkeypatch):
 
 def test_integer_arguments_are_ascii_decimals(capsys, monkeypatch):
     encode = ["encode", "--from", "edgelist", "--to", "graph6"]
-    for bad in ("1_1", "\u0662", "\uff13"):
+    # "9" * 5000 is past int()'s 4,300-digit limit
+    for bad in ("1_1", "\u0662", "\uff13", "9" * 5000):
         for stdin in (f"3 1\n0 {bad}\n", f"3 {bad}\n0 1\n"):
             rc, out, err = run_cli(capsys, monkeypatch, encode, stdin=stdin)
             assert (rc, out) == (1, "") and "non-integer" in err
@@ -309,7 +310,7 @@ def test_gen_domain_errors_exit_one(capsys, monkeypatch):
     rc, out, err = run_cli(capsys, monkeypatch, ["gen", "--family", "substar", "1"])
     assert rc == 1 and out == "" and err.startswith("error:")
     # names take ASCII digits only, as every other integer input does
-    for name in ("petersen", "P\u0662", "K1,\uff13"):
+    for name in ("petersen", "P\u0662", "K1,\uff13", "P" + "9" * 5000, "K1," + "9" * 5000):
         rc, _, err = run_cli(capsys, monkeypatch, ["gen", "--family", "named", name])
         assert rc == 1 and "unknown graph name" in err, name
 
@@ -549,6 +550,12 @@ def test_encode_errors_exit_one(capsys, monkeypatch):
         capsys, monkeypatch, ["encode", "--from", "edgelist", "--to", "graph6"], stdin="4 3\n0 1\n"
     )
     assert rc == 1 and "error:" in err
+    # a vertex count over the edge-list cap is refused before any allocation
+    rc, out, err = run_cli(
+        capsys, monkeypatch, ["encode", "--from", "edgelist", "--to", "graph6"],
+        stdin="99999999999999999999 0\n",
+    )
+    assert (rc, out) == (1, "") and err.startswith("error:") and err.count("\n") == 1
     rc, _, err = run_cli(
         capsys, monkeypatch, ["encode", "--from", "graph6", "--to", "edgelist"], stdin="E??\n"
     )

@@ -191,6 +191,11 @@ def test_edgelist_errors():
         parse_edgelist("3 one\n0 1")
     with pytest.raises(VertexRangeError):
         parse_edgelist("2 1\n0 5")
+    # the vertex count is capped before Graph allocates its per-vertex lists
+    for n in ("99999999999999999999", "1000000000"):
+        with pytest.raises(SizeLimitError):
+            parse_edgelist(f"{n} 0")
+    assert parse_edgelist("65536 0") == Graph(65536)
 
 
 def test_edgelist_stream():

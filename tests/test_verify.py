@@ -102,10 +102,11 @@ def test_shards_partition_the_stream():
 
 
 def test_shards_balance_the_connected_stream():
+    # _classified deals the shards that enumerate_graphs turns into Graphs
     whole = CONNECTED_COUNTS[6]
     for total in range(2, 7):
         sizes = [
-            sum(1 for _ in enumerate_graphs(EnumerationSpec(n=6, shard=(i, total))))
+            sum(1 for _ in _classified(EnumerationSpec(n=6, shard=(i, total))))
             for i in range(total)
         ]
         assert sum(sizes) == whole
