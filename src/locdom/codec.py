@@ -7,9 +7,10 @@ by 63.  Only the short form (n <= 62) is supported; that is far beyond the
 exhaustive range anyway.  A record is read as one integer with one byte
 per 6-bit group, and one table per n gives each vertex pair's bit in it.
 The writers add their edges' bits to the empty graph's record, which holds
-the order byte and the 63 offsets (`mask_graph6` adds one precomputed sum
-of table bits per byte of its edge mask); the parser subtracts the empty
-record, keeps the pairs whose bit is set, and rejects any bit left over.
+the order byte and the 63 offsets; the parser subtracts the empty record,
+keeps the pairs whose bit is set, and rejects any bit left over.  For an
+edge mask, `graph6_halves` tables the record bits of each value of its low
+and high halves, the empty record in low's: two reads and an add.
 
 Both stream readers, `parse_graph6_stream` (one record per non-blank line)
 and `parse_edgelist_stream`, take an iterable of lines, such as an open
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from functools import lru_cache
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -98,13 +100,13 @@ def mask_graph6(n: int, mask: int) -> str:
     """graph6 of the graph whose edges are the set bits of mask, bit k
     standing for pair k of pair_table(n).
 
-    Lets a caller that holds only an edge mask skip building a Graph.
+    Lets a caller that holds only an edge mask skip building a Graph.  Past
+    n = 8, where a half table would pass 2^14 entries, it builds the Graph.
     """
-    size, tables = _graph6_tables(n)
-    x = 0
-    for table in tables:
-        x += table[mask & 255]
-        mask >>= 8
+    if n > 8:
+        return write_graph6(Graph._from_mask(n, mask))
+    size, split, low, high = graph6_halves(n)
+    x = low[mask & (1 << split) - 1] + high[mask >> split]
     return x.to_bytes(size, "big").decode("ascii")
 
 
@@ -124,22 +126,17 @@ def _graph6_layout(n: int) -> tuple[int, int, dict[tuple[int, int], int]]:
 
 
 @lru_cache(maxsize=None)
-def _graph6_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The byte count of an n-vertex record and, per byte of an edge mask,
-    the record bits of its 256 values.  The first table also holds the
-    empty graph's record, so one value from each table adds up to a record."""
+def graph6_halves(n: int) -> tuple[int, int, array, array]:
+    """The byte count of an n-vertex record, the split of an edge mask into
+    its low split bits and the rest, and per half the record bits of each of
+    its values; low also holds the empty graph's record."""
     size, empty, slots = _graph6_layout(n)
-    bits = list(slots.values())
-    return size, tuple(
-        tuple(
-            sum(
-                (bit for k, bit in enumerate(bits[low:low + 8]) if value >> k & 1),
-                0 if low else empty,
-            )
-            for value in range(256)
-        )
-        for low in range(0, max(len(bits), 1), 8)  # n <= 1 still needs the first
-    )
+    split = (len(slots) + 1) // 2
+    halves = (array("Q", [empty]), array("Q", [0]))  # records of n <= 8 fit 48 bits
+    for k, bit in enumerate(slots.values()):  # slot k doubles its half's table
+        table = halves[k >= split]
+        table.extend([t + bit for t in table])
+    return size, split, *halves
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 
+from .codec import MAX_EDGELIST_VERTICES
 from .core import Graph, bfs_layers, bits, is_connected
 from .errors import (
     DiameterTooSmallError,
@@ -18,9 +19,16 @@ from .errors import (
     EmptyFamilyError,
     LocdomError,
     NotATreeError,
+    SizeLimitError,
     TooSmallError,
 )
 from .twins import is_edge_twin_free
+
+
+def _capped(n: int, m: int) -> None:
+    """Refuse n vertices or m edges past the edge-list cap before building."""
+    if max(n, m) > MAX_EDGELIST_VERTICES:
+        raise SizeLimitError(f"{n} vertices and {m} edges: over the cap of {MAX_EDGELIST_VERTICES}")
 
 
 def spider_weld_tree(k2: int, k4: int) -> Graph:
@@ -34,6 +42,7 @@ def spider_weld_tree(k2: int, k4: int) -> Graph:
         raise TooSmallError(f"leg counts must be non-negative, got ({k2}, {k4})")
     if k2 + k4 == 0:
         raise EmptyFamilyError("a spider needs at least one leg")
+    _capped(1 + 2 * k2 + 4 * k4, 2 * k2 + 4 * k4)
     pairs = []
     nxt = 1
     for _ in range(k2):
@@ -53,6 +62,7 @@ def subdivided_star_eltd(k: int) -> Graph:
     """
     if k <= 1:
         raise TooSmallError(f"need k >= 2 doubly subdivided legs, got {k}")
+    _capped(3 * k + 1, 3 * k)
     pairs = []
     nxt = 1
     for _ in range(k):
@@ -73,10 +83,12 @@ def named_graph(name: str) -> Graph:
         k = int(hit.group(1))
         if k < 1:
             raise TooSmallError("a star needs at least one leaf")
+        _capped(k + 1, k)
         return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
     hit = re.fullmatch(r"([pck])([0-9]{1,4300})", s)
     if hit:
         family, num = hit.group(1), int(hit.group(2))
+        _capped(num, {"p": num - 1, "c": num, "k": num * (num - 1) // 2}[family])
         if family == "p":
             if num < 1:
                 raise TooSmallError("a path needs at least one vertex")

@@ -2,31 +2,31 @@
 
 Labeled graphs on n vertices are the masks 0..2^C(n,2)-1 over
 `core.pair_table(n)`, so a census is a plain integer loop.
-One classifying scan serves every stream: it keeps a class-index table
-with one 16-bit slot per labeled mask.  The first mask of an unseen
-isomorphism class gets its connectivity and its complement's tested, and
-writes the new class index into all n! relabelings of itself (orbit
-marking, Read, "Every one a winner", 1978).  The complement class is
-paired, not walked: its index is the class's index ^ 1, read off the
-complement's slot.  Every later mask takes one or two table reads, with no
-BFS and no Graph.  The relabelings are walked by adjacent label swaps in
-Steinhaus-Johnson-Trotter order, each swap two lookups in per-n tables
-over the low and high halves of the mask.  The table is 64 KB at n = 6 and
-4 MB at n = 7; on CPython 3.11 the scan takes about 0.02 s at n = 6 and
-1.1-1.8 s at n = 7.  At n = 8 the table would be 512 MB, and the labeled
-loop over 2^28 masks is impractical anyway; that wants canonical augmentation.
+One class table per order serves every stream: one 16-bit slot per labeled
+mask holds its isomorphism class index, and the table is filled before the
+first mask is dealt.  A slot still 0, found by `array.index` in C, starts a
+new class: its connectivity and its complement's are tested, and its index
+goes into all n! relabelings of the mask (orbit marking, Read, "Every one a
+winner", 1978), the index ^ 1 into the complement's.  The relabelings are
+walked by adjacent label swaps in Steinhaus-Johnson-Trotter order, each
+swap two lookups in per-n tables over the low and high halves of the mask.
+The table is 64 KB at n = 6 and 4 MB at n = 7; on CPython 3.11 it fills in
+about 0.03 s at n = 6 and 0.9-1.5 s at n = 7.  At n = 8 it would be 512 MB,
+and the labeled loop over 2^28 masks is impractical anyway; that wants
+canonical augmentation.
 
-Sharding deals the masks that pass the connectivity filter round-robin for
-embarrassingly parallel runs; each shard still scans every mask.
+Dealing runs in C: `itertools.compress` keeps the masks whose class passes
+the connectivity filter, and `islice` deals them round-robin to shards for
+embarrassingly parallel runs; each shard still fills the whole table.
 Isomorphism dedup (off by default) keeps the first mask of each class
 within the shard.  `census_lines`, which `locdom verify` runs, solves each
-class once and renders the class's line after graph6 then.  What a later
-member costs is one table read in the scan, its graph6 from the mask (a few
-table reads and one `to_bytes`), three lookups and a count in per-class
-tables, and one string concatenation; no Graph or BoundReport is built for
-it.  Reusing verdicts is sound only because the verdict of every registered
-theorem (n, m, skip reason, value, bound and holds) is an isomorphism
-invariant; a theorem added here must keep it so.
+class once and renders the class's line after graph6 then.  A later member
+costs one table read for its class, two for its graph6 (in
+`codec.graph6_halves`), one `to_bytes`, three reads and a count in
+per-class lists, and one string concatenation; no Graph or BoundReport is
+built for it.  Reusing verdicts is sound only because the verdict of every
+registered theorem (n, m, skip reason, value, bound and holds) is an
+isomorphism invariant; a theorem added here must keep it so.
 
 Every registered theorem has one shape, so `_THEOREMS` declares each as
 one row: under ordered preconditions (each a skip reason and the test that
@@ -48,9 +48,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .codec import mask_graph6, report_tail, write_graph6
+from .codec import graph6_halves, report_tail, write_graph6
 from .core import Graph, is_connected, pair_table
 from .errors import LocdomError, SizeLimitError
 from .linegraph import line_graph
@@ -127,40 +128,33 @@ def _relabelings(mask: int, n: int) -> list[int]:
     return out
 
 
-def _classified(spec: EnumerationSpec) -> Iterator[tuple[int, int]]:
-    """Yield (class index, mask) for each mask that spec enumerates, in scan
-    order (sharding and dedup as in enumerate_graphs).  A new class gets an
-    even index c from 2 up and its complement class c ^ 1 (unused if it is
-    self-complementary); indices are keys, neither dense nor in order of
-    first appearance.  The largest, 2 * 12,346 + 1 at n = 8, fits 16 bits."""
+def _dealt(spec: EnumerationSpec) -> tuple[array, int, Iterator[int]]:
+    """spec.n's class table, the number of class indices, and the masks that
+    spec deals: shard (i, t) keeps positions i, i + t, ... of the masks, in
+    order, whose class passes the connectivity filter.  The first mask whose
+    slot is still 0 gets a new even index c, written over its relabelings,
+    and c ^ 1 over its complement's unless the class is self-complementary.
+    Indices are keys, not dense; the largest, 2 * 12,346 + 1 at n = 8, fits
+    16 bits."""
     n = spec.n
-    size = 1 << len(pair_table(n))
-    full = size - 1
-    classes = array("H", [0]) * size
+    full = (1 << len(pair_table(n))) - 1
+    classes = array("H", [0]) * (full + 2)  # the slot past the last mask ends the search
     passes = [False, False]  # per class index: does it pass the connectivity filter
-    shard_index, shard_total = spec.shard
-    yielded: set[int] | None = set() if spec.dedup_isomorphic else None
-    position = -1
-    for mask in range(size):
-        c = classes[mask] or classes[full ^ mask] ^ 1
-        if c == 1:
-            c = len(passes)
-            passes += (
-                not spec.connected_only or is_connected(Graph._from_mask(n, m))
-                for m in (mask, full ^ mask)
-            )
-            for r in _relabelings(mask, n):
-                classes[r] = c
-        if not passes[c]:
-            continue
-        position += 1
-        if position % shard_total != shard_index:
-            continue
-        if yielded is not None:
-            if c in yielded:
-                continue
-            yielded.add(c)
-        yield c, mask
+    mask = 0
+    while (mask := classes.index(0, mask)) <= full:  # a search in C
+        c = len(passes)
+        passes += (
+            not spec.connected_only or is_connected(Graph._from_mask(n, m))
+            for m in (mask, full ^ mask)
+        )
+        orbit = _relabelings(mask, n)
+        paired = c if full ^ mask in orbit else c + 1  # c if self-complementary
+        for r in orbit:
+            classes[r], classes[full ^ r] = c, paired
+    classes.pop()
+    index, total = spec.shard
+    masks = compress(range(full + 1), map(passes.__getitem__, classes))
+    return classes, len(passes), islice(masks, index, None, total)
 
 
 def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
@@ -169,11 +163,15 @@ def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
     Shard (i, t) keeps the masks at positions i, i + t, i + 2t, ... of the
     stream that passes the connectivity filter, so the t shards partition
     the unsharded stream and their sizes differ by at most one; each shard
-    still scans every mask.  With dedup each isomorphism class is
-    represented by its first mask in scan order (within the shard).
+    still builds the whole class table.  With dedup each isomorphism class
+    is represented by its first mask in scan order (within the shard).
     """
-    for _, mask in _classified(spec):
-        yield Graph._from_mask(spec.n, mask)
+    classes, count, masks = _dealt(spec)
+    unseen = [True] * count
+    for mask in masks:
+        if unseen[classes[mask]]:
+            unseen[classes[mask]] = not spec.dedup_isomorphic
+            yield Graph._from_mask(spec.n, mask)
 
 
 def canonical_form(g: Graph) -> int:
@@ -346,20 +344,22 @@ def census_lines(
     """
     for spec in specs:
         n = spec.n
+        classes, count, masks = _dealt(spec)
+        size, split, low, high = graph6_halves(n)
+        low_bits = (1 << split) - 1
         reports: dict[int, BoundReport] = {}
-        tails: dict[int, str] = {}
-        members: Counter = Counter()
-        failing: set[int] = set()
-        for c, mask in _classified(spec):
-            tail = tails.get(c)
+        tails: list[str | None] = [None] * count
+        members, failing = [0] * count, [False] * count
+        for mask in masks:
+            c = classes[mask]
+            tail = tails[c]
             if tail is None:
                 report = reports[c] = check_graph(Graph._from_mask(n, mask), theorem)
                 tail = tails[c] = '"' + report_tail(report) + "\n"
-                if report.check is not None and not report.check.holds:
-                    failing.add(c)
+                failing[c] = report.check is not None and not report.check.holds
             members[c] += 1
-            g6 = mask_graph6(n, mask)
-            if c in failing:
+            g6 = (low[mask & low_bits] + high[mask >> split]).to_bytes(size, "big").decode("ascii")
+            if failing[c]:
                 summary.violations.append(g6)
             # graph6 bytes lie in 63..126, where JSON escapes only the backslash
             yield '{"graph6": "' + g6.replace("\\", "\\\\") + tail

@@ -309,6 +309,16 @@ def test_integer_arguments_are_ascii_decimals(capsys, monkeypatch):
 def test_gen_domain_errors_exit_one(capsys, monkeypatch):
     rc, out, err = run_cli(capsys, monkeypatch, ["gen", "--family", "substar", "1"])
     assert rc == 1 and out == "" and err.startswith("error:")
+    # orders and sizes past the cap are refused before anything is built
+    for argv in (
+        ["named", "P100000000000"],
+        ["named", "K100000"],
+        ["substar", "100000000000"],
+        ["spider", "1", "100000000000"],
+    ):
+        rc, out, err = run_cli(capsys, monkeypatch, ["gen", "--family", *argv])
+        assert (rc, out) == (1, "") and err.count("\n") == 1, argv
+        assert err.startswith("error:") and "over the cap" in err, argv
     # names take ASCII digits only, as every other integer input does
     for name in ("petersen", "P\u0662", "K1,\uff13", "P" + "9" * 5000, "K1," + "9" * 5000):
         rc, _, err = run_cli(capsys, monkeypatch, ["gen", "--family", "named", name])

@@ -132,12 +132,16 @@ def test_mask_graph6_against_networkx():
 
 
 def test_mask_graph6_matches_write_graph6_on_every_mask():
-    # every mask with n <= 6 covers both table bytes at n = 6 and n = 0, 1
-    for n in range(7):
-        for mask in range(1 << n * (n - 1) // 2):
-            g6 = mask_graph6(n, mask)
-            assert g6 == write_graph6(Graph._from_mask(n, mask)), (n, mask)
-            assert parse_graph6(g6) == Graph._from_mask(n, mask), (n, mask)
+    # every mask with n <= 6, which covers n = 0, 1 and both half tables up
+    # to n = 6, then seeded masks at n = 7 and 8, where the split between the
+    # halves moves into the middle of a payload byte
+    rng = random.Random(20261019)
+    cases = [(n, mask) for n in range(7) for mask in range(1 << n * (n - 1) // 2)]
+    cases += [(n, rng.getrandbits(n * (n - 1) // 2)) for n in (7, 8) for _ in range(2000)]
+    for n, mask in cases:
+        g6 = mask_graph6(n, mask)
+        assert g6 == write_graph6(Graph._from_mask(n, mask)), (n, mask)
+        assert parse_graph6(g6) == Graph._from_mask(n, mask), (n, mask)
 
 
 def test_nonzero_padding_bits_are_rejected(tmp_path, capsys):

@@ -25,7 +25,7 @@ from locdom import (
     report_lines,
     twin_report,
 )
-from locdom.verify import _classified, _relabelings
+from locdom.verify import _dealt, _relabelings
 from conftest import class_reps, nx_isomorphic, random_graph
 
 # labeled graph counts on n vertices: all, and connected
@@ -102,11 +102,11 @@ def test_shards_partition_the_stream():
 
 
 def test_shards_balance_the_connected_stream():
-    # _classified deals the shards that enumerate_graphs turns into Graphs
+    # _dealt deals the shards that enumerate_graphs turns into Graphs
     whole = CONNECTED_COUNTS[6]
     for total in range(2, 7):
         sizes = [
-            sum(1 for _ in _classified(EnumerationSpec(n=6, shard=(i, total))))
+            sum(1 for _ in _dealt(EnumerationSpec(n=6, shard=(i, total)))[2])
             for i in range(total)
         ]
         assert sum(sizes) == whole
@@ -163,27 +163,46 @@ def test_canonical_form_is_the_least_relabeling_at_eight_vertices():
 
 def test_complement_classes_pair_by_xor():
     # The complement of a class-c mask is in class c ^ 1, or in c itself
-    # exactly when the class is self-complementary; every shard agrees.
+    # exactly when the class is self-complementary; every shard builds the
+    # same table, connected or not, and the shards deal every mask once.
     for n in range(1, 7):
         full = (1 << n * (n - 1) // 2) - 1
-        for total in (1, 3):
-            class_of = {}
-            for i in range(total):
-                spec = EnumerationSpec(n, connected_only=False, shard=(i, total))
-                class_of.update((mask, c) for c, mask in _classified(spec))
-            assert len(class_of) == full + 1
-            self_complementary, member = set(), {}
-            for mask, c in class_of.items():
-                member.setdefault(c, mask)
-                if class_of[full ^ mask] == c:
-                    self_complementary.add(c)
-                else:
-                    assert class_of[full ^ mask] == c ^ 1, (n, mask)
-            assert len(self_complementary) == SELF_COMPLEMENTARY[n]
-            for c, mask in member.items():
-                h = nx.Graph(p for k, p in enumerate(combinations(range(n), 2)) if mask >> k & 1)
-                h.add_nodes_from(range(n))
-                assert nx.is_isomorphic(h, nx.complement(h)) == (c in self_complementary)
+        table = None
+        for connected_only in (True, False):
+            for total in (1, 3):
+                dealt = []
+                for i in range(total):
+                    spec = EnumerationSpec(n, connected_only, shard=(i, total))
+                    classes, count, masks = _dealt(spec)
+                    assert table in (None, classes)
+                    table = classes
+                    dealt.extend(masks)
+                assert 0 not in table and max(table) < count  # every slot marked
+                if not connected_only:
+                    assert sorted(dealt) == list(range(full + 1))
+        class_of = dict(enumerate(table))
+        self_complementary, member = set(), {}
+        for mask, c in class_of.items():
+            member.setdefault(c, mask)
+            if class_of[full ^ mask] == c:
+                self_complementary.add(c)
+            else:
+                assert class_of[full ^ mask] == c ^ 1, (n, mask)
+        assert len(self_complementary) == SELF_COMPLEMENTARY[n]
+        # a self-complementary class keeps its own index, and c ^ 1 marks no mask
+        assert not {c ^ 1 for c in self_complementary} & set(table)
+        for c, mask in member.items():
+            h = nx.Graph(p for k, p in enumerate(combinations(range(n), 2)) if mask >> k & 1)
+            h.add_nodes_from(range(n))
+            assert nx.is_isomorphic(h, nx.complement(h)) == (c in self_complementary)
+    # P4 and C5 are self-complementary, and so is the class of their masks
+    for name in ("P4", "C5"):
+        g = named_graph(name)
+        classes, _, _ = _dealt(EnumerationSpec(g.n, connected_only=False))
+        mask = sum(1 << k for k, p in enumerate(combinations(range(g.n), 2)) if p in g.edges)
+        c = classes[mask]
+        assert c % 2 == 0 and classes[(1 << g.n * (g.n - 1) // 2) - 1 ^ mask] == c
+        assert c ^ 1 not in classes
 
 
 def test_class_index_is_the_isomorphism_class():
@@ -191,8 +210,9 @@ def test_class_index_is_the_isomorphism_class():
     for n in range(0, 6):
         spec = EnumerationSpec(n, connected_only=False)
         form_of_class, class_of_form = {}, {}
-        for (c, _), g in zip(_classified(spec), enumerate_graphs(spec), strict=True):
-            form = canonical_form(g)
+        classes, _, masks = _dealt(spec)
+        for mask, g in zip(masks, enumerate_graphs(spec), strict=True):
+            c, form = classes[mask], canonical_form(g)
             assert form_of_class.setdefault(c, form) == form
             assert class_of_form.setdefault(form, c) == c
         assert len(form_of_class) == UNLABELED_ALL.get(n, 1)
