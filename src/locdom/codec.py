@@ -9,8 +9,8 @@ per 6-bit group, and one table per n gives each vertex pair's bit in it.
 The writers add their edges' bits to the empty graph's record, which holds
 the order byte and the 63 offsets; the parser subtracts the empty record,
 keeps the pairs whose bit is set, and rejects any bit left over.  For an
-edge mask, `graph6_halves` tables the record bits of each value of its low
-and high halves, the empty record in low's: two reads and an add.
+edge mask, `graph6_halves` gives the record as two reads and an add, from
+the `core.half_tables` of the pair bits with the empty record as base.
 
 Both stream readers, `parse_graph6_stream` (one record per non-blank line)
 and `parse_edgelist_stream`, take an iterable of lines, such as an open
@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .core import Graph, pair_table
+from .core import Graph, half_tables, pair_table
 from .errors import (
     BadCharacterError,
     BadLengthError,
@@ -96,20 +96,6 @@ def write_graph6(g: Graph) -> str:
     return x.to_bytes(size, "big").decode("ascii")
 
 
-def mask_graph6(n: int, mask: int) -> str:
-    """graph6 of the graph whose edges are the set bits of mask, bit k
-    standing for pair k of pair_table(n).
-
-    Lets a caller that holds only an edge mask skip building a Graph.  Past
-    n = 8, where a half table would pass 2^14 entries, it builds the Graph.
-    """
-    if n > 8:
-        return write_graph6(Graph._from_mask(n, mask))
-    size, split, low, high = graph6_halves(n)
-    x = low[mask & (1 << split) - 1] + high[mask >> split]
-    return x.to_bytes(size, "big").decode("ascii")
-
-
 @lru_cache(maxsize=None)
 def _graph6_layout(n: int) -> tuple[int, int, dict[tuple[int, int], int]]:
     """The byte count of an n-vertex record, the record of the empty graph
@@ -127,16 +113,11 @@ def _graph6_layout(n: int) -> tuple[int, int, dict[tuple[int, int], int]]:
 
 @lru_cache(maxsize=None)
 def graph6_halves(n: int) -> tuple[int, int, array, array]:
-    """The byte count of an n-vertex record, the split of an edge mask into
-    its low split bits and the rest, and per half the record bits of each of
-    its values; low also holds the empty graph's record."""
+    """The byte count of an n-vertex record and the (split, low, high) of
+    `core.half_tables` that give an edge mask's record as one integer."""
     size, empty, slots = _graph6_layout(n)
-    split = (len(slots) + 1) // 2
-    halves = (array("Q", [empty]), array("Q", [0]))  # records of n <= 8 fit 48 bits
-    for k, bit in enumerate(slots.values()):  # slot k doubles its half's table
-        table = halves[k >= split]
-        table.extend([t + bit for t in table])
-    return size, split, *halves
+    split, low, high = half_tables(slots.values(), empty)
+    return size, split, array("Q", low), array("Q", high)  # records of n <= 8 fit 48 bits
 
 
 def parse_edgelist(text: str) -> Graph:

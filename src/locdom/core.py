@@ -5,6 +5,9 @@ and stored sorted lexicographically; the position of an edge in that tuple is
 its canonical index, and every other module (solvers, codecs, reports) refers
 to edges by that index.  Bit k of an edge mask on n vertices stands for pair
 k of `pair_table(n)`, which the enumerator and the graph6 codec both read.
+`half_tables` tables a map on edge masks, the enumerator's label swaps and
+the graph6 records alike, and `adjacent_pairs` lists the pairs in neighbour
+masks, the twin pairs and the edges of a line graph alike.
 Adjacency is precomputed two ways as Python ints used as bitsets: neighbour
 mask per vertex and adjacent-edge mask per edge.  Feasibility loops
 elsewhere then reduce to integer AND/OR, which is what keeps exhaustive
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -43,6 +46,23 @@ def pair_table(n: int) -> tuple[tuple[int, int], ...]:
     """The vertex pairs (u, v), u < v, on n vertices in lexicographic order;
     bit k of an edge mask stands for pair k."""
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
+def half_tables(images: Collection[int], base: int) -> tuple[int, list[int], list[int]]:
+    """(split, low, high) with low[mask & (1 << split) - 1] + high[mask >> split]
+    equal to base plus images[k] for each set bit k of mask; low takes the
+    first half of the bits, rounded up, so each table has at most 2^split entries."""
+    split = (len(images) + 1) // 2
+    low, high = [base], [0]
+    for k, image in enumerate(images):  # bit k doubles its half's table
+        table = low if k < split else high
+        table += [t + image for t in table]
+    return split, low, high
+
+
+def adjacent_pairs(adj: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j), i < j, with j in adj[i], in lexicographic order."""
+    return tuple((i, j) for i, mask in enumerate(adj) for j in bits(mask >> i + 1 << i + 1))
 
 
 class Graph:

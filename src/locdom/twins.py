@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import or_
 from typing import Sequence
 
-from .core import Graph, bits, is_connected
+from .core import Graph, adjacent_pairs, is_connected
 from .errors import NotConnectedError
 
 
@@ -55,16 +55,11 @@ def _twin_masks(adj: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
-def _pairs(masks: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """The pairs (i, j), i < j, with j in masks[i], in lexicographic order."""
-    return tuple((i, j) for i, mask in enumerate(masks) for j in bits(mask >> i + 1 << i + 1))
-
-
 def twin_report(g: Graph) -> TwinReport:
     """Classify every twin pair of g at both the vertex and the edge level."""
     open_v, closed_v = _twin_masks(g.vadj)
     open_e, closed_e = _twin_masks(g.eadj)
-    return TwinReport(_pairs(open_v), _pairs(closed_v), _pairs(open_e), _pairs(closed_e))
+    return TwinReport(*map(adjacent_pairs, (open_v, closed_v, open_e, closed_e)))
 
 
 def is_twin_free(g: Graph) -> bool:

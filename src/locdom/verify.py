@@ -9,7 +9,7 @@ new class: its connectivity and its complement's are tested, and its index
 goes into all n! relabelings of the mask (orbit marking, Read, "Every one a
 winner", 1978), the index ^ 1 into the complement's.  The relabelings are
 walked by adjacent label swaps in Steinhaus-Johnson-Trotter order, each
-swap two lookups in per-n tables over the low and high halves of the mask.
+swap two lookups in its `core.half_tables` over the halves of the mask.
 The table is 64 KB at n = 6 and 4 MB at n = 7; on CPython 3.11 it fills in
 about 0.03 s at n = 6 and 0.9-1.5 s at n = 7.  At n = 8 it would be 512 MB,
 and the labeled loop over 2^28 masks is impractical anyway; that wants
@@ -52,7 +52,7 @@ from itertools import compress, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .codec import graph6_halves, report_tail, write_graph6
-from .core import Graph, is_connected, pair_table
+from .core import Graph, half_tables, is_connected, pair_table
 from .errors import LocdomError, SizeLimitError
 from .linegraph import line_graph
 from .solvers import solve_min
@@ -97,22 +97,19 @@ def _plain_changes(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _relabel_steps(n: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+def _relabel_steps(n: int) -> tuple[int, tuple[tuple[list[int], list[int]], ...]]:
     """(split, steps) walking an edge mask through its n! relabelings in
-    _plain_changes order.  Each step swaps two labels through two lookup
-    tables, one over the mask's low split bits and one over the rest:
+    _plain_changes order.  Each step swaps two labels through the
+    `core.half_tables` of the swap's map on pair bits:
     mask -> low[mask & (1 << split) - 1] | high[mask >> split]."""
     pairs = pair_table(n)
-    split = (len(pairs) + 1) // 2
-    tables = []
+    index = {pair: k for k, pair in enumerate(pairs)}
+    split, tables = 0, []  # n <= 1 has no swaps, so no split is read
     for i in range(n - 1):
         swap = {i: i + 1, i + 1: i}
-        halves = ([0], [0])
-        for k, (u, v) in enumerate(pairs):  # slot k doubles its half's table
-            bit = 1 << pairs.index(tuple(sorted((swap.get(u, u), swap.get(v, v)))))
-            table = halves[k >= split]
-            table += [t | bit for t in table]
-        tables.append(tuple(map(tuple, halves)))
+        images = [1 << index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs]
+        split, low, high = half_tables(images, 0)
+        tables.append((low, high))
     return split, tuple(tables[i] for i in _plain_changes(n))
 
 

@@ -17,7 +17,10 @@ from locdom import (
     TooSmallError,
     is_edge_locating,
     is_edge_total_dominating,
+    is_connected,
     is_edge_twin_free,
+    is_twin_free,
+    line_graph,
     named_graph,
     solve_min,
     spider_weld_tree,
@@ -51,6 +54,16 @@ def test_spider_meets_half_bound_exactly():
         g = spider_weld_tree(k2, k4)
         assert g.m == 2 * k2 + 4 * k4
         assert solve_min(g, "weld").value == g.m // 2 == k2 + 2 * k4
+    # the tightness on L(G) itself: every spider with m <= 24 but P3, whose
+    # line graph K2 has twins, gives a connected twin-free line graph with
+    # ld = n/2
+    spiders = [(k2, k4) for k4 in range(7) for k2 in range(13 - 2 * k4)]
+    spiders = [s for s in spiders if s not in ((0, 0), (1, 0))]
+    assert len(spiders) == 47
+    for k2, k4 in spiders:
+        line = line_graph(spider_weld_tree(k2, k4)).line
+        assert is_connected(line) and is_twin_free(line) and all(line.vadj), (k2, k4)
+        assert 2 * solve_min(line, "ld").value == line.n == 2 * k2 + 4 * k4, (k2, k4)
 
 
 def test_subdivided_star_shapes():
@@ -69,6 +82,11 @@ def test_subdivided_star_shapes():
 def test_subdivided_star_meets_two_thirds_bound_exactly():
     assert solve_min(subdivided_star_eltd(2), "eltd").value == 4
     assert solve_min(subdivided_star_eltd(3), "eltd").value == 6
+    # and on L(G) itself: a connected twin-free line graph with ltd = 2n/3
+    for k in range(2, 11):
+        line = line_graph(subdivided_star_eltd(k)).line
+        assert is_connected(line) and is_twin_free(line) and all(line.vadj), k
+        assert 3 * solve_min(line, "ltd").value == 2 * line.n == 6 * k, k
 
 
 def test_named_graph_catalogue():
