@@ -221,8 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument(
         "--max-n", type=_max_n_arg, dest="max_n", metavar="N",
-        help="census of every order 1..N (default 6); N = 8 scans 2^28 masks"
-        " and needs a 512 MB class table",
+        help="census of every order 1..N (default 6); each order's class table"
+        " is built once per process, and N = 8 scans 2^28 masks and holds a"
+        " 512 MB class table until the run ends",
     )
     p.add_argument("--shard", type=_shard_arg, metavar="I/T")
     p.add_argument(

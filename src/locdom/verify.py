@@ -3,30 +3,33 @@
 Labeled graphs on n vertices are the masks 0..2^C(n,2)-1 over
 `core.pair_table(n)`, so a census is a plain integer loop.
 One class table per order serves every stream: one 16-bit slot per labeled
-mask holds its isomorphism class index, and the table is filled before the
-first mask is dealt.  A slot still 0, found by `array.index` in C, starts a
-new class: its connectivity and its complement's are tested, and its index
-goes into all n! relabelings of the mask (orbit marking, Read, "Every one a
-winner", 1978), the index ^ 1 into the complement's.  The relabelings are
-walked by adjacent label swaps in Steinhaus-Johnson-Trotter order, each
-swap two lookups in its `core.half_tables` over the halves of the mask.
+mask holds its isomorphism class index.  It is built once per order per
+process, before the first mask of that order is dealt, and every later
+stream of the order (another theorem, shard or filter) reuses it.  A slot
+still 0, found by `array.index` in C, starts a new class: its connectivity
+and its complement's are tested, and its index goes into all n!
+relabelings of the mask (orbit marking, Read, "Every one a winner", 1978),
+the index ^ 1 into the complement's.  The relabelings are walked by
+adjacent label swaps in Steinhaus-Johnson-Trotter order, each swap two
+lookups in its `core.half_tables` over the halves of the mask.
 The table is 64 KB at n = 6 and 4 MB at n = 7; on CPython 3.11 it fills in
-about 0.03 s at n = 6 and 0.9-1.5 s at n = 7.  At n = 8 it would be 512 MB,
-and the labeled loop over 2^28 masks is impractical anyway; that wants
-canonical augmentation.
+about 0.015-0.025 s at n = 6 and 1.2-1.5 s at n = 7.  At n = 8 it would be
+512 MB, kept until the process ends, and the labeled loop over 2^28 masks is
+impractical anyway; that wants canonical augmentation.
 
 Dealing runs in C: `itertools.compress` keeps the masks whose class passes
 the connectivity filter, and `islice` deals them round-robin to shards for
-embarrassingly parallel runs; each shard still fills the whole table.
-Isomorphism dedup (off by default) keeps the first mask of each class
-within the shard.  `census_lines`, which `locdom verify` runs, solves each
-class once and renders the class's line after graph6 then.  A later member
-costs one table read for its class, two for its graph6 (in
-`codec.graph6_halves`), one `to_bytes`, three reads and a count in
-per-class lists, and one string concatenation; no Graph or BoundReport is
-built for it.  Reusing verdicts is sound only because the verdict of every
-registered theorem (n, m, skip reason, value, bound and holds) is an
-isomorphism invariant; a theorem added here must keep it so.
+embarrassingly parallel runs.  Shards in one process share the table;
+each shard process still fills the whole table.  Isomorphism dedup (off by
+default) keeps the first mask of each class within the shard.
+`census_lines`, which `locdom verify` runs, solves each class once and
+renders the class's line after graph6 then.  A later member costs one
+table read for its class, two for its graph6 (in `codec.graph6_halves`),
+one `to_bytes`, three reads and a count in per-class lists, and one string
+concatenation; no Graph or BoundReport is built for it.  Reusing verdicts
+is sound only because the verdict of every registered theorem (n, m, skip
+reason, value, bound and holds) is an isomorphism invariant; a theorem
+added here must keep it so.
 
 Every registered theorem has one shape, so `_THEOREMS` declares each as
 one row: under ordered preconditions (each a skip reason and the test that
@@ -125,32 +128,40 @@ def _relabelings(mask: int, n: int) -> list[int]:
     return out
 
 
-def _dealt(spec: EnumerationSpec) -> tuple[array, int, Iterator[int]]:
-    """spec.n's class table, the number of class indices, and the masks that
-    spec deals: shard (i, t) keeps positions i, i + t, ... of the masks, in
-    order, whose class passes the connectivity filter.  The first mask whose
-    slot is still 0 gets a new even index c, written over its relabelings,
-    and c ^ 1 over its complement's unless the class is self-complementary.
-    Indices are keys, not dense; the largest, 2 * 12,346 + 1 at n = 8, fits
-    16 bits."""
-    n = spec.n
+@lru_cache(maxsize=None)
+def _class_table(n: int) -> tuple[array, list[bool]]:
+    """n's class table, one class index per labeled mask, and per class index
+    whether the class is connected.  The first mask whose slot is still 0
+    gets a new even index c, written over its relabelings, and c ^ 1 over
+    its complement's unless the class is self-complementary.  Indices are
+    keys, not dense; the largest, 2 * 12,346 + 1 at n = 8, fits 16 bits.
+    Built once per order per process and shared by every caller: read both,
+    never write them.  The flags are a list, not a tuple, because `_dealt`
+    maps `list.__getitem__` over the table about 1.5x as fast."""
     full = (1 << len(pair_table(n))) - 1
     classes = array("H", [0]) * (full + 2)  # the slot past the last mask ends the search
-    passes = [False, False]  # per class index: does it pass the connectivity filter
+    connected = [False, False]  # indices 0 and 1 mark no mask
     mask = 0
     while (mask := classes.index(0, mask)) <= full:  # a search in C
-        c = len(passes)
-        passes += (
-            not spec.connected_only or is_connected(Graph._from_mask(n, m))
-            for m in (mask, full ^ mask)
-        )
+        c = len(connected)
+        connected += (is_connected(Graph._from_mask(n, m)) for m in (mask, full ^ mask))
         orbit = _relabelings(mask, n)
         paired = c if full ^ mask in orbit else c + 1  # c if self-complementary
         for r in orbit:
             classes[r], classes[full ^ r] = c, paired
     classes.pop()
+    return classes, connected
+
+
+def _dealt(spec: EnumerationSpec) -> tuple[array, int, Iterator[int]]:
+    """spec.n's shared class table (`_class_table`, read only), the number of
+    class indices, and the masks that spec deals: shard (i, t) keeps
+    positions i, i + t, ... of the masks, in order, whose class passes the
+    connectivity filter."""
+    classes, connected = _class_table(spec.n)
+    passes = connected if spec.connected_only else [True] * len(connected)
     index, total = spec.shard
-    masks = compress(range(full + 1), map(passes.__getitem__, classes))
+    masks = compress(range(len(classes)), map(passes.__getitem__, classes))
     return classes, len(passes), islice(masks, index, None, total)
 
 
@@ -159,9 +170,11 @@ def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
 
     Shard (i, t) keeps the masks at positions i, i + t, i + 2t, ... of the
     stream that passes the connectivity filter, so the t shards partition
-    the unsharded stream and their sizes differ by at most one; each shard
-    still builds the whole class table.  With dedup each isomorphism class
-    is represented by its first mask in scan order (within the shard).
+    the unsharded stream and their sizes differ by at most one.  The class
+    table is built once per order per process, so shards, filters and later
+    calls in one process share it; each shard process builds it once.  With
+    dedup each isomorphism class is represented by its first mask in scan
+    order (within the shard).
     """
     classes, count, masks = _dealt(spec)
     unseen = [True] * count

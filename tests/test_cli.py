@@ -466,6 +466,26 @@ def test_verify_output_of_every_theorem_is_pinned(tmp_path, capsys, monkeypatch)
         assert hashlib.sha256("".join(outs).encode()).hexdigest() == pinned, options
 
 
+# sha256 of `verify --theorem weld_half --max-n 6` stdout, recorded before the
+# class tables were kept across censuses
+PINNED_WELD_HALF_6 = "83c136f3c9070a1c13220159924b8ec7df9938984884bc05afb8445b2a236e15"
+
+
+def test_verify_repeats_in_one_process_are_identical(capsys, monkeypatch):
+    # Several censuses in one process, as the benchmark's census runs them:
+    # the first builds each order's class table, and later ones, another
+    # theorem between them, read the same tables and write the same bytes.
+    verify._class_table.cache_clear()
+    runs = [
+        run_cli(capsys, monkeypatch, ["verify", "--theorem", theorem, "--max-n", "6"])
+        for theorem in ("weld_half", "obs1", "weld_half")
+    ]
+    assert [rc for rc, _, _ in runs] == [0, 0, 0]
+    assert runs[2][1] == runs[0][1]
+    assert hashlib.sha256(runs[0][1].encode()).hexdigest() == PINNED_WELD_HALF_6
+    assert verify._class_table.cache_info().misses == 6  # orders 1..6, once each
+
+
 PINNED_TWINS = "c701c09ad56c3b1b7ddfd01017d337d0c4f5a92b6c1d0f4b2282c0c5120d16cd"
 
 

@@ -25,7 +25,7 @@ from locdom import (
     report_lines,
     twin_report,
 )
-from locdom.verify import _dealt, _relabelings
+from locdom.verify import _class_table, _dealt, _relabelings
 from conftest import class_reps, nx_isomorphic, random_graph
 
 # labeled graph counts on n vertices: all, and connected
@@ -163,23 +163,32 @@ def test_canonical_form_is_the_least_relabeling_at_eight_vertices():
 
 def test_complement_classes_pair_by_xor():
     # The complement of a class-c mask is in class c ^ 1, or in c itself
-    # exactly when the class is self-complementary; every shard builds the
-    # same table, connected or not, and the shards deal every mask once.
+    # exactly when the class is self-complementary.  Every shard and filter
+    # reads the one table built per order, and the shards deal every mask
+    # once; running the filters connected, all, connected again shows that
+    # neither filter's flags leak into the other through the shared table.
+    _class_table.cache_clear()
     for n in range(1, 7):
         full = (1 << n * (n - 1) // 2) - 1
         table = None
-        for connected_only in (True, False):
+        passes = []
+        for connected_only in (True, False, True):
             for total in (1, 3):
                 dealt = []
                 for i in range(total):
                     spec = EnumerationSpec(n, connected_only, shard=(i, total))
                     classes, count, masks = _dealt(spec)
-                    assert table in (None, classes)
+                    assert table is None or table is classes
                     table = classes
                     dealt.extend(masks)
                 assert 0 not in table and max(table) < count  # every slot marked
+                # OEIS A001187 connected, A006125 all
+                assert len(dealt) == (CONNECTED_COUNTS[n] if connected_only else full + 1)
+                passes.append(sorted(dealt))
                 if not connected_only:
-                    assert sorted(dealt) == list(range(full + 1))
+                    assert passes[-1] == list(range(full + 1))
+        assert passes[0] == passes[1] == passes[4] == passes[5]
+        assert _class_table.cache_info().misses == n  # one build per order 1..n
         class_of = dict(enumerate(table))
         self_complementary, member = set(), {}
         for mask, c in class_of.items():
