@@ -52,6 +52,19 @@ set of the optimum size was met first.  The first set met at the optimum
 size is therefore the lexicographically least optimum, and repeated runs
 are byte-identical.
 
+`solve_min` keeps the last 16 instances it solved, keyed on the ground size
+and the exact member set of the family, never on the graph or the
+parameter, and evicts the least recently used.  So the paper's identities
+cost one search per family: ld of L(G) reuses the search of eld on G, and
+ltd of L(G) that of eltd, since L(G)'s vertex adjacency is G's edge
+adjacency and the two families are the same; and weld reuses eld's on an
+edge-twin-free graph, where no separation mask is a twin pair.  The
+counting floor stays out of the key: under any valid floor the pass
+returns the same value and the same least witness, so an answer found
+under weld's floor of 0 is eld's too, and the other way round.  A graph's
+seven parameters and ld, ltd of L(G) are nine solves, so 16 entries cover
+any order of them; a larger bound only holds more memory.
+
 The seven public `is_*` predicates are two tests on traces N(x) ∩ D over
 `g.vadj`, or over `g.eadj`, the vertex adjacency of L(G): domination wants
 every trace of an element outside D nonempty (of every element, for the
@@ -234,24 +247,44 @@ def _constraint_masks(g: Graph, param: Parameter) -> tuple[int, list[int]]:
     return ground, family
 
 
+# (ground, members) -> (size, mask) for the instances solve_min solved last,
+# in order of last use, oldest first.
+_SOLVED: dict[tuple[int, frozenset[int]], tuple[int, int]] = {}
+_SOLVED_BOUND = 16
+
+
 def solve_min(g: Graph, parameter: "str | Parameter") -> SolveResult:
     """Exact minimum for one parameter, with the lexicographically least witness.
 
     Raises InfeasibleError when no set of any size works: total variants on
     graphs with an isolated vertex (respectively isolated edge).  All other
     variants are always feasible (the whole ground set works).
+
+    An instance among the last 16 distinct ones solved (the same ground
+    size and member set, from any graph and parameter) is answered without
+    a search, for example ld and ltd of L(G) after eld and eltd of G (see
+    the module docstring).  The floor below is not part of the key, since
+    every valid floor gives the same value and least witness.
     """
     param = parse_parameter(parameter)
     ground, family = _constraint_masks(g, param)
-    # Strict location needs ground - k distinct nonempty traces on a k-set,
-    # so k-subsets with 2^k - 1 < ground - k cannot work, and a set of the
-    # first size past them ends the search.  Twin exemptions void this bound
-    # for the weak variant (a star has weak value 1 at any size).
-    first_k = 0
-    if param.locating and param is not Parameter.WEAK_EDGE_LOC_DOM:
-        while ground - first_k > (1 << first_k) - 1:
-            first_k += 1
-    size, mask = _least_hitting_set(ground, family, first_k)
+    key = ground, frozenset(family)
+    found = _SOLVED.pop(key, None)
+    if found is None:
+        # Strict location needs ground - k distinct nonempty traces on a
+        # k-set, so k-subsets with 2^k - 1 < ground - k cannot work, and a
+        # set of the first size past them ends the search.  Twin exemptions
+        # void this bound for the weak variant (a star has weak value 1 at
+        # any size).
+        first_k = 0
+        if param.locating and param is not Parameter.WEAK_EDGE_LOC_DOM:
+            while ground - first_k > (1 << first_k) - 1:
+                first_k += 1
+        found = _least_hitting_set(ground, family, first_k)
+        if len(_SOLVED) >= _SOLVED_BOUND:
+            del _SOLVED[next(iter(_SOLVED))]
+    _SOLVED[key] = found  # re-inserted last: the most recently used
+    size, mask = found
     return SolveResult(parameter=param, value=size, witness=frozenset(bits(mask)))
 
 

@@ -159,10 +159,11 @@ def _dealt(spec: EnumerationSpec) -> tuple[array, int, Iterator[int]]:
     positions i, i + t, ... of the masks, in order, whose class passes the
     connectivity filter."""
     classes, connected = _class_table(spec.n)
-    passes = connected if spec.connected_only else [True] * len(connected)
     index, total = spec.shard
-    masks = compress(range(len(classes)), map(passes.__getitem__, classes))
-    return classes, len(passes), islice(masks, index, None, total)
+    masks = range(len(classes))
+    if spec.connected_only:
+        masks = compress(masks, map(connected.__getitem__, classes))
+    return classes, len(connected), islice(masks, index, None, total)
 
 
 def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:

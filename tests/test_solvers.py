@@ -21,12 +21,16 @@ from locdom import (
     is_locating,
     is_total_dominating,
     is_weak_edge_locating,
+    line_graph,
     named_graph,
     parse_graph6,
     parse_parameter,
     bits,
     solve_min,
+    spider_weld_tree,
+    subdivided_star_eltd,
 )
+from locdom import solvers
 from locdom.solvers import PARAMETER_NAMES, _constraint_masks, _least_hitting_set
 import conftest
 
@@ -443,3 +447,132 @@ def test_parameter_chains():
             assert vals["eld"] <= vals["eltd"]
         if is_edge_twin_free(g):
             assert vals["weld"] == vals["eld"]
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Clear solve_min's memo, and record the ground size of every search it
+    runs from then on."""
+    solvers._SOLVED.clear()
+    grounds = []
+    search = solvers._least_hitting_set
+
+    def counted(ground, family, first_k):
+        grounds.append(ground)
+        return search(ground, family, first_k)
+
+    monkeypatch.setattr(solvers, "_least_hitting_set", counted)
+    yield grounds
+    solvers._SOLVED.clear()
+
+
+def _answer(g, name):
+    try:
+        res = solve_min(g, name)
+    except InfeasibleError as exc:
+        return exc.reason
+    return res.value, tuple(sorted(res.witness))
+
+
+def _edge_twin_free_sample():
+    graphs = [P5, C6, named_graph("C5"), named_graph("K5")]
+    graphs += [parse_graph6(graph6) for graph6 in ("KsGJCUOWoD?A", "KkGGGcOWoIGC")]
+    assert all(is_edge_twin_free(g) for g in graphs)
+    return graphs
+
+
+def test_line_graph_parameters_reuse_the_edge_search(searches):
+    # L(G)'s vertex adjacency is G's edge adjacency, so ld(L(G)) and
+    # ltd(L(G)) are eld(G) and eltd(G) as hitting-set instances.
+    for g in _edge_twin_free_sample():
+        line = line_graph(g).line
+        for edge, vertex in (("eld", "ld"), ("eltd", "ltd")):
+            solvers._SOLVED.clear()
+            searches.clear()
+            assert _answer(g, edge) == _answer(line, vertex), (g.edges, edge)
+            assert searches == [g.m], (g.edges, edge)
+
+
+def test_weld_reuses_eld_only_without_edge_twins(searches):
+    for g in _edge_twin_free_sample():
+        for order in (("eld", "weld"), ("weld", "eld")):
+            solvers._SOLVED.clear()
+            searches.clear()
+            first, second = (_answer(g, name) for name in order)
+            assert first == second and searches == [g.m], (g.edges, order)
+    # K_{1,3}'s edges are pairwise twins: weld drops every separation mask,
+    # so its family differs from eld's and it runs a search of its own.
+    claw = star(3)
+    assert not is_edge_twin_free(claw)
+    solvers._SOLVED.clear()
+    searches.clear()
+    assert _answer(claw, "eld") == (2, (0, 1))
+    assert _answer(claw, "weld") == (1, (0,))
+    assert searches == [3, 3]
+
+
+def test_solve_order_does_not_change_results(searches):
+    # Forward and reverse over the seven parameters and ld, ltd of L(G),
+    # each from a cleared memo, and each solve again alone: every answer
+    # must be the same whichever solve ran the search.
+    rng = random.Random(20261020)
+    graphs = [parse_graph6(graph6) for graph6 in dict.fromkeys(row[0] for row in PINNED)]
+    graphs += [conftest.random_connected_graph(rng, n) for n in (7, 8, 9) for _ in range(8)]
+    names = ("dom", "tdom", "ld", "ltd", "eld", "eltd", "weld")
+    shared = 0
+    for g in graphs:
+        line = line_graph(g).line
+        solves = [(g, name) for name in names] + [(line, "ld"), (line, "ltd")]
+        answers = []
+        for order in (solves, solves[::-1]):
+            solvers._SOLVED.clear()
+            searches.clear()
+            answers.append({(t is line, name): _answer(t, name) for t, name in order})
+            shared += len(order) - len(searches)
+        alone = {}
+        for t, name in solves:
+            solvers._SOLVED.clear()
+            alone[t is line, name] = _answer(t, name)
+        assert answers[0] == answers[1] == alone, g.edges
+    assert shared  # some solve took another's answer
+
+
+def test_memo_stays_within_its_bound(searches):
+    bound = solvers._SOLVED_BOUND
+    kept = named_graph("P3")
+    for n in range(1, 101):
+        solve_min(named_graph(f"P{n}"), "dom")
+        assert len(solvers._SOLVED) <= bound
+        if n % (bound // 2) == 0:
+            solve_min(kept, "dom")  # in use, so never the least recent
+    assert len(solvers._SOLVED) == bound
+    assert len(searches) == 100  # P3 after P3 ran no search
+    # the last bound distinct instances are kept, and an older one is not
+    searches.clear()
+    solve_min(named_graph("P100"), "dom")
+    solve_min(kept, "dom")
+    assert searches == []
+    solve_min(named_graph("P50"), "dom")
+    assert searches == [50]
+
+
+# Sparse instances, on which the search takes longest for its size: values
+# and least witnesses recorded from the solver before solve_min kept a memo.
+SPARSE_PINNED = [
+    (named_graph("P41"), "eld", 16, (1, 3, 6, 8, 11, 13, 16, 18, 21, 23, 26, 28, 31, 33, 36, 38)),
+    (spider_weld_tree(6, 5), "weld", 16, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 18, 21, 24, 27, 30)),
+    (
+        subdivided_star_eltd(11), "eltd", 22,
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31),
+    ),
+]
+
+
+def test_sparse_pins_hold_cold_and_warm(searches):
+    for g, name, value, witness in SPARSE_PINNED:
+        assert REF_PREDICATES[parse_parameter(name)](g, set(witness))
+    for _ in ("cold", "warm"):
+        for g, name, value, witness in SPARSE_PINNED:
+            assert _answer(g, name) == (value, witness), name
+        # each instance was searched once, when the memo was cold
+        assert searches == [g.m for g, *_ in SPARSE_PINNED]
