@@ -19,7 +19,10 @@ A set D is feasible exactly when it meets every member of the family:
 
 Meeting a mask survives adding elements, so feasibility is closed under
 supersets, and a mask that contains another member is redundant; the
-locating families keep only the members that contain no other.
+locating families keep only the members that contain no other.  So only
+pairs with a common neighbour get a separation mask: when adj[a] & adj[b]
+is empty, the XOR is the union, and the mask contains a's covering mask,
+open or closed, in every variant.
 
 `solve_min` runs one depth-first branch and bound (Land & Doig, 1960) over
 prefixes in lexicographic order.  It keeps the smallest set found so far,
@@ -52,18 +55,22 @@ set of the optimum size was met first.  The first set met at the optimum
 size is therefore the lexicographically least optimum, and repeated runs
 are byte-identical.
 
-`solve_min` keeps the last 16 instances it solved, keyed on the ground size
-and the exact member set of the family, never on the graph or the
-parameter, and evicts the least recently used.  So the paper's identities
-cost one search per family: ld of L(G) reuses the search of eld on G, and
-ltd of L(G) that of eltd, since L(G)'s vertex adjacency is G's edge
-adjacency and the two families are the same; and weld reuses eld's on an
-edge-twin-free graph, where no separation mask is a twin pair.  The
-counting floor stays out of the key: under any valid floor the pass
-returns the same value and the same least witness, so an answer found
-under weld's floor of 0 is eld's too, and the other way round.  A graph's
-seven parameters and ld, ltd of L(G) are nine solves, so 16 entries cover
-any order of them; a larger bound only holds more memory.
+`solve_min` keeps the last 16 instances it solved, keyed on what fixes the
+family: the adjacency (`g.vadj`, or `g.eadj` for the edge variants), the
+total and locating flags, and whether twin pairs are exempt, which only
+weld on a graph with edge-twins is.  It looks the key up before building
+anything, so a hit costs one twin scan at most, never a family; the graph,
+the parameter and the counting floor are not part of it.  Whether the
+ground is edges only words the InfeasibleError, and an infeasible instance
+is never stored.  So the paper's
+identities cost one search per family: ld of L(G) reuses the search of eld
+on G, and ltd of L(G) that of eltd, since L(G)'s vertex adjacency is G's
+edge adjacency; and weld reuses eld's on an edge-twin-free graph, where no
+separation mask is a twin pair.  Under any valid floor the pass returns the
+same value and the same least witness, so an answer found under weld's
+floor of 0 is eld's too, and the other way round.  A graph's seven
+parameters and ld, ltd of L(G) are nine solves, so 16 entries cover any
+order of them; a larger bound only holds more memory.
 
 The seven public `is_*` predicates are two tests on traces N(x) ∩ D over
 `g.vadj`, or over `g.eadj`, the vertex adjacency of L(G): domination wants
@@ -83,7 +90,7 @@ from typing import Callable, Iterable, Sequence
 
 from .core import Graph, bits
 from .errors import InfeasibleError, LocdomError
-from .twins import edge_twin_masks
+from .twins import edge_twin_masks, is_edge_twin_free
 
 
 class Parameter(Enum):
@@ -97,21 +104,19 @@ class Parameter(Enum):
     EDGE_LOC_TOTAL_DOM = "eltd"
     WEAK_EDGE_LOC_DOM = "weld"
 
+    # The flags compare short names, several times faster than members read
+    # as Parameter.X; solve_min reads each flag twice when it builds a family.
     @property
     def on_edges(self) -> bool:
-        return self in (
-            Parameter.EDGE_LOC_DOM,
-            Parameter.EDGE_LOC_TOTAL_DOM,
-            Parameter.WEAK_EDGE_LOC_DOM,
-        )
+        return self.value in ("eld", "eltd", "weld")
 
     @property
     def total(self) -> bool:
-        return self in (Parameter.TOTAL_DOM, Parameter.LOC_TOTAL_DOM, Parameter.EDGE_LOC_TOTAL_DOM)
+        return self.value in ("tdom", "ltd", "eltd")
 
     @property
     def locating(self) -> bool:
-        return self is not Parameter.DOM and self is not Parameter.TOTAL_DOM
+        return self.value not in ("dom", "tdom")
 
 
 _ALIASES = {
@@ -231,10 +236,11 @@ def _constraint_masks(g: Graph, param: Parameter) -> tuple[int, list[int]]:
         raise InfeasibleError(reason, f"infeasible: {reason} ({need})")
     if not param.locating:
         return ground, family
-    separations = {
+    separations = {  # a pair without a common neighbour contains a's cover
         adj[a] ^ adj[b] | 1 << a | 1 << b
         for a in range(ground)
         for b in range(a + 1, ground)
+        if adj[a] & adj[b]
     }
     if param is Parameter.WEAK_EDGE_LOC_DOM:  # exempt the twin pairs
         separations = {mask for mask in separations if mask.bit_count() > 2}
@@ -247,9 +253,9 @@ def _constraint_masks(g: Graph, param: Parameter) -> tuple[int, list[int]]:
     return ground, family
 
 
-# (ground, members) -> (size, mask) for the instances solve_min solved last,
-# in order of last use, oldest first.
-_SOLVED: dict[tuple[int, frozenset[int]], tuple[int, int]] = {}
+# (adjacency, total, locating, twin pairs exempt) -> (size, mask) for the
+# instances solve_min solved last, in order of last use, oldest first.
+_SOLVED: dict[tuple[tuple[int, ...], bool, bool, bool], tuple[int, int]] = {}
 _SOLVED_BOUND = 16
 
 
@@ -260,17 +266,20 @@ def solve_min(g: Graph, parameter: "str | Parameter") -> SolveResult:
     graphs with an isolated vertex (respectively isolated edge).  All other
     variants are always feasible (the whole ground set works).
 
-    An instance among the last 16 distinct ones solved (the same ground
-    size and member set, from any graph and parameter) is answered without
-    a search, for example ld and ltd of L(G) after eld and eltd of G (see
-    the module docstring).  The floor below is not part of the key, since
-    every valid floor gives the same value and least witness.
+    An instance among the last 16 distinct ones solved (the same adjacency
+    and the same three flags that fix the family, from any graph and
+    parameter) is answered without building its family or searching, for
+    example ld and ltd of L(G) after eld and eltd of G (see the module
+    docstring).  The floor below is not part of the key, since every valid
+    floor gives the same value and least witness.
     """
     param = parse_parameter(parameter)
-    ground, family = _constraint_masks(g, param)
-    key = ground, frozenset(family)
+    adj = g.eadj if param.on_edges else g.vadj
+    weak = param is Parameter.WEAK_EDGE_LOC_DOM and not is_edge_twin_free(g)
+    key = adj, param.total, param.locating, weak
     found = _SOLVED.pop(key, None)
     if found is None:
+        ground, family = _constraint_masks(g, param)
         # Strict location needs ground - k distinct nonempty traces on a
         # k-set, so k-subsets with 2^k - 1 < ground - k cannot work, and a
         # set of the first size past them ends the search.  Twin exemptions

@@ -5,7 +5,9 @@ N[u] = N[v]; two distinct edges are open/closed edge-twins under the same
 comparison of their edge neighbourhoods (the edges sharing an endpoint with
 them).  Edge-twins of G are the vertex twins of L(G), so one grouping by
 neighbour mask, `g.vadj` or `g.eadj`, open and closed, serves both levels,
-and every reader below takes its answer from it.
+and every reader below that names twins takes its answer from it.  The two
+twin-free tests need no groups: they only ask that the open masks, and the
+closed ones, are pairwise distinct.
 
 `check_observation1` re-checks on a connected graph two facts about
 edge-twins that the bound proofs lean on: open edge-twins force the whole
@@ -62,14 +64,19 @@ def twin_report(g: Graph) -> TwinReport:
     return TwinReport(*map(adjacent_pairs, (open_v, closed_v, open_e, closed_e)))
 
 
+def _distinct(adj: Sequence[int]) -> bool:
+    """No two elements share their open or their closed neighbourhood."""
+    return len(set(adj)) == len({a | 1 << i for i, a in enumerate(adj)}) == len(adj)
+
+
 def is_twin_free(g: Graph) -> bool:
     """True when no two vertices are open or closed twins."""
-    return not any(map(or_, *_twin_masks(g.vadj)))
+    return _distinct(g.vadj)
 
 
 def is_edge_twin_free(g: Graph) -> bool:
     """True when no two edges are open or closed edge-twins."""
-    return not any(edge_twin_masks(g))
+    return _distinct(g.eadj)
 
 
 def edge_twin_masks(g: Graph) -> tuple[int, ...]:

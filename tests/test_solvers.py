@@ -1,6 +1,7 @@
 """Feasibility predicates and the exact minimizer against brute force."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -425,6 +426,67 @@ def test_constraint_masks_start_with_a_symmetric_block():
             ), (g, param)
 
 
+def _reference_family(g, param):
+    """The covers, in element order, and the set of inclusion-minimal
+    separation masks, as bitmasks, from the definitions.
+
+    Element i is dominated when D meets N[i] (N(i) for the total variants);
+    a and b are separated unless D misses a, b and every element adjacent to
+    just one of them.  The weak variant exempts edge-twin pairs.
+    """
+    ground = g.m if param.on_edges else g.n
+    nbrs = conftest.edge_nbrs if param.on_edges else conftest.nbrs
+    around = [frozenset(nbrs(g, i)) for i in range(ground)]
+    covers = [a if param.total else a | {i} for i, a in enumerate(around)]
+    if not param.locating:
+        return list(map(_as_mask, covers)), set()
+    exempt = conftest.ref_edge_twin_pairs(g) if param is Parameter.WEAK_EDGE_LOC_DOM else set()
+    separations = {
+        around[a] ^ around[b] | {a, b}
+        for a, b in combinations(range(ground), 2)
+        if (a, b) not in exempt
+    }
+    return list(map(_as_mask, covers)), {
+        _as_mask(s)
+        for s in separations
+        if not any(c <= s for c in covers) and not any(t < s for t in separations)
+    }
+
+
+def _as_mask(members):
+    return sum(1 << x for x in members)
+
+
+def test_constraint_masks_match_the_definitions():
+    """The family as a set is every cover plus the separation masks that
+    contain no other member; the covers come first, in element order.  Pairs
+    without a common neighbour get no mask, so this also checks that those
+    masks are never inclusion-minimal."""
+    rng = random.Random(20261021)
+    graphs = [
+        g
+        for n in range(7)
+        for g in enumerate_graphs(EnumerationSpec(n, connected_only=False, dedup_isomorphic=True))
+    ]
+    graphs += [parse_graph6(graph6) for graph6 in dict.fromkeys(row[0] for row in PINNED)]
+    graphs += [
+        conftest.random_connected_graph(rng, rng.randrange(10, 17), 0.05) for _ in range(20)
+    ]
+    for g in graphs:
+        for param in Parameter:
+            if not param.locating:
+                continue
+            covers, separations = _reference_family(g, param)
+            if 0 in covers:
+                with pytest.raises(InfeasibleError):
+                    _constraint_masks(g, param)
+                continue
+            ground, family = _constraint_masks(g, param)
+            assert family[:ground] == covers, (g, param)
+            assert len(family) == ground + len(separations), (g, param)
+            assert set(family[ground:]) == separations, (g, param)
+
+
 def test_parameter_chains():
     rng = random.Random(5)
     for _ in range(50):
@@ -466,6 +528,22 @@ def searches(monkeypatch):
     solvers._SOLVED.clear()
 
 
+@pytest.fixture
+def builds(searches, monkeypatch):
+    """With the searches fixture's cleared memo, record the ground size of
+    every family solve_min builds from then on."""
+    grounds = []
+    build = solvers._constraint_masks
+
+    def counted(g, param):
+        ground, family = build(g, param)
+        grounds.append(ground)
+        return ground, family
+
+    monkeypatch.setattr(solvers, "_constraint_masks", counted)
+    return grounds
+
+
 def _answer(g, name):
     try:
         res = solve_min(g, name)
@@ -481,34 +559,39 @@ def _edge_twin_free_sample():
     return graphs
 
 
-def test_line_graph_parameters_reuse_the_edge_search(searches):
+def test_line_graph_parameters_reuse_the_edge_search(searches, builds):
     # L(G)'s vertex adjacency is G's edge adjacency, so ld(L(G)) and
-    # ltd(L(G)) are eld(G) and eltd(G) as hitting-set instances.
+    # ltd(L(G)) are eld(G) and eltd(G) as hitting-set instances, and the
+    # second solve of each pair finds the first in the memo before it
+    # builds a family.
     for g in _edge_twin_free_sample():
         line = line_graph(g).line
         for edge, vertex in (("eld", "ld"), ("eltd", "ltd")):
             solvers._SOLVED.clear()
             searches.clear()
+            builds.clear()
             assert _answer(g, edge) == _answer(line, vertex), (g.edges, edge)
-            assert searches == [g.m], (g.edges, edge)
+            assert searches == builds == [g.m], (g.edges, edge)
 
 
-def test_weld_reuses_eld_only_without_edge_twins(searches):
+def test_weld_reuses_eld_only_without_edge_twins(searches, builds):
     for g in _edge_twin_free_sample():
         for order in (("eld", "weld"), ("weld", "eld")):
             solvers._SOLVED.clear()
             searches.clear()
+            builds.clear()
             first, second = (_answer(g, name) for name in order)
-            assert first == second and searches == [g.m], (g.edges, order)
+            assert first == second and searches == builds == [g.m], (g.edges, order)
     # K_{1,3}'s edges are pairwise twins: weld drops every separation mask,
     # so its family differs from eld's and it runs a search of its own.
     claw = star(3)
     assert not is_edge_twin_free(claw)
     solvers._SOLVED.clear()
     searches.clear()
+    builds.clear()
     assert _answer(claw, "eld") == (2, (0, 1))
     assert _answer(claw, "weld") == (1, (0,))
-    assert searches == [3, 3]
+    assert searches == builds == [3, 3]
 
 
 def test_solve_order_does_not_change_results(searches):
@@ -576,3 +659,64 @@ def test_sparse_pins_hold_cold_and_warm(searches):
             assert _answer(g, name) == (value, witness), name
         # each instance was searched once, when the memo was cold
         assert searches == [g.m for g, *_ in SPARSE_PINNED]
+
+
+# Least witnesses of eld, weld and ld on 20 random 25-vertex trees (vertex
+# v >= 1 joins a uniform earlier vertex, random.Random(20261021)), recorded
+# from the solver before solve_min looked its memo up by adjacency.
+TREE_PINS = [
+    ((0, 2, 3, 7, 9, 10, 11, 13, 16, 18), (0, 1, 3, 10, 11, 13, 14, 18),
+     (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 14, 21)),
+    ((0, 3, 4, 6, 7, 8, 10, 12, 19, 20), (1, 2, 3, 4, 6, 7, 12, 19, 20),
+     (0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 13, 14, 16, 19)),
+    ((0, 1, 2, 8, 10, 15, 16, 18, 19, 20, 22), (1, 2, 6, 8, 10, 11, 22),
+     (0, 1, 2, 3, 4, 5, 7, 8, 10, 12, 13, 14, 18, 19, 22)),
+    ((0, 4, 5, 8, 9, 11, 12, 13, 15, 17, 21), (0, 2, 4, 5, 6, 7, 8, 15, 21),
+     (0, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 16, 17, 23)),
+    ((1, 2, 6, 7, 11, 13, 14, 15, 21), (1, 2, 4, 5, 6, 7, 13, 15, 20),
+     (3, 4, 6, 8, 9, 10, 11, 14, 15, 19, 20)),
+    ((0, 2, 3, 8, 10, 13, 14, 16, 18, 19), (0, 1, 3, 4, 12, 13, 14, 18, 19),
+     (0, 1, 2, 3, 7, 8, 9, 10, 12, 13, 16, 17, 18)),
+    ((0, 1, 2, 7, 8, 9, 12, 13, 14, 22), (0, 1, 2, 7, 8, 9, 12, 14, 17),
+     (0, 1, 2, 4, 5, 6, 7, 10, 12, 13, 15, 19, 20)),
+    ((1, 2, 3, 5, 8, 10, 13, 15, 19, 21), (0, 1, 3, 5, 7, 10, 15, 19, 21),
+     (0, 1, 2, 3, 4, 5, 7, 8, 11, 12, 15, 17, 20)),
+    ((1, 2, 4, 6, 7, 11, 12, 13, 14, 18), (1, 2, 4, 6, 7, 11, 12, 13, 14, 18),
+     (1, 2, 3, 7, 8, 10, 12, 13, 14, 19, 23)),
+    ((0, 3, 7, 10, 11, 14, 16, 18, 19, 21), (0, 5, 6, 7, 9, 14, 21),
+     (0, 1, 2, 4, 5, 6, 7, 8, 12, 13, 16, 17, 18, 19, 21)),
+    ((0, 5, 8, 11, 12, 13, 14, 19, 20), (0, 2, 5, 8, 11, 12, 13, 19, 20),
+     (1, 2, 3, 4, 7, 8, 9, 12, 13, 16, 19)),
+    ((1, 3, 5, 7, 8, 12, 13, 15, 17, 18), (0, 1, 5, 7, 8, 12, 15, 17, 18),
+     (1, 2, 4, 5, 6, 7, 9, 10, 11, 15, 17, 18)),
+    ((0, 1, 2, 7, 8, 10, 11, 14, 19, 22), (0, 1, 4, 5, 7, 14, 15, 19),
+     (0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 14, 17, 19)),
+    ((0, 5, 6, 7, 9, 13, 17, 18, 21), (0, 4, 5, 6, 12, 13, 15, 17),
+     (0, 1, 2, 3, 4, 5, 6, 10, 11, 12, 13, 15, 16, 21)),
+    ((0, 1, 3, 6, 7, 8, 10, 12, 14, 18, 21), (0, 1, 3, 5, 6, 11, 18, 19),
+     (1, 2, 3, 5, 6, 7, 8, 12, 13, 14, 16, 17, 20, 21)),
+    ((1, 4, 5, 7, 8, 10, 13, 14, 16, 18, 21), (2, 3, 5, 7, 9, 14, 21),
+     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 16, 19, 20)),
+    ((0, 3, 5, 6, 9, 12, 14, 18, 20, 21), (0, 1, 5, 9, 10, 11, 20, 21),
+     (1, 2, 3, 6, 8, 9, 10, 11, 12, 16, 17, 19)),
+    ((0, 6, 7, 9, 11, 15, 16, 19, 21), (0, 4, 6, 9, 11, 15, 16, 19),
+     (0, 1, 2, 4, 6, 8, 10, 11, 12, 15, 16, 20, 23)),
+    ((0, 2, 3, 4, 6, 8, 13, 14, 15, 17, 19), (0, 2, 6, 8, 13, 14, 15, 17, 19),
+     (1, 2, 3, 4, 7, 8, 11, 12, 16, 17, 18, 19)),
+    ((0, 3, 4, 7, 8, 9, 10, 11, 14, 15, 17, 18), (0, 4, 6, 7, 8, 14, 15, 17),
+     (0, 1, 2, 3, 7, 8, 9, 10, 12, 13, 14, 15, 16, 19)),
+]
+
+
+def test_tree_pins_hold_cold_and_warm(searches):
+    rng = random.Random(20261021)
+    trees = [conftest.random_tree(rng, 25) for _ in TREE_PINS]
+    for g, witnesses in zip(trees, TREE_PINS):
+        for name, witness in zip(("eld", "weld", "ld"), witnesses):
+            assert REF_PREDICATES[parse_parameter(name)](g, set(witness)), name
+        cold = len(searches)
+        for _ in ("cold", "warm"):
+            for name, witness in zip(("eld", "weld", "ld"), witnesses):
+                assert _answer(g, name) == (len(witness), witness), name
+        # weld shares eld's search only on an edge-twin-free tree
+        assert len(searches) - cold == 3 - is_edge_twin_free(g)
