@@ -9,13 +9,12 @@ next to its line graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Graph, adjacent_pairs
 
 
-@dataclass(frozen=True)
-class LineGraphMap:
+class LineGraphMap(NamedTuple):
     base: Graph
     line: Graph
 

@@ -68,7 +68,11 @@ on G, and ltd of L(G) that of eltd, since L(G)'s vertex adjacency is G's
 edge adjacency; and weld reuses eld's on an edge-twin-free graph, where no
 separation mask is a twin pair.  Under any valid floor the pass returns the
 same value and the same least witness, so an answer found under weld's
-floor of 0 is eld's too, and the other way round.  A graph's seven
+floor of 0 is eld's too, and the other way round.  For the same reason a
+total variant may start from a larger floor: a total set is a plain one, so
+dom <= tdom, ld <= ltd and eld <= eltd, and on a miss the plain instance's
+value on the same adjacency, when the memo holds it, is the floor; that
+lets the pass stop at the first set of that size.  A graph's seven
 parameters and ld, ltd of L(G) are nine solves, so 16 entries cover any
 order of them; a larger bound only holds more memory.
 
@@ -82,11 +86,10 @@ read no mask of the family, so they stay an independent check on the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import Graph, bits
 from .errors import InfeasibleError, LocdomError
@@ -139,8 +142,7 @@ def parse_parameter(name: "str | Parameter") -> Parameter:
         ) from None
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     parameter: Parameter
     value: int
     witness: frozenset[int]
@@ -271,7 +273,9 @@ def solve_min(g: Graph, parameter: "str | Parameter") -> SolveResult:
     parameter) is answered without building its family or searching, for
     example ld and ltd of L(G) after eld and eltd of G (see the module
     docstring).  The floor below is not part of the key, since every valid
-    floor gives the same value and least witness.
+    floor gives the same value and least witness.  A total variant takes
+    the plain variant's value on the same adjacency as its floor when the
+    memo holds it, for example eltd after eld.
     """
     param = parse_parameter(parameter)
     adj = g.eadj if param.on_edges else g.vadj
@@ -289,6 +293,13 @@ def solve_min(g: Graph, parameter: "str | Parameter") -> SolveResult:
         if param.locating and param is not Parameter.WEAK_EDGE_LOC_DOM:
             while ground - first_k > (1 << first_k) - 1:
                 first_k += 1
+        # A total set is a plain one too (dom <= tdom, ld <= ltd, eld <=
+        # eltd), so a solved plain instance on the same adjacency is a floor;
+        # get leaves its place in the memo's order alone.
+        if param.total:
+            plain = _SOLVED.get((adj, False, param.locating, weak))
+            if plain is not None:
+                first_k = max(first_k, plain[0])
         found = _least_hitting_set(ground, family, first_k)
         if len(_SOLVED) >= _SOLVED_BOUND:
             del _SOLVED[next(iter(_SOLVED))]

@@ -20,16 +20,14 @@ back as data, never as exceptions, so the harness can stream the check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import or_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Graph, adjacent_pairs, is_connected
 from .errors import NotConnectedError
 
 
-@dataclass(frozen=True)
-class TwinReport:
+class TwinReport(NamedTuple):
     """All twin pairs of one graph, each unordered pair listed once."""
 
     open_vertex_pairs: tuple[tuple[int, int], ...]

@@ -48,7 +48,6 @@ from __future__ import annotations
 import json
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
@@ -64,23 +63,35 @@ from .twins import check_observation1, is_edge_twin_free
 MAX_ENUM_VERTICES = 8
 
 
-@dataclass(frozen=True)
-class EnumerationSpec:
-    """What to enumerate: order, connectivity filter, dedup, shard."""
-
+class _EnumerationFields(NamedTuple):
     n: int
     connected_only: bool = True
     dedup_isomorphic: bool = False
     shard: tuple[int, int] = (0, 1)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_ENUM_VERTICES:
+
+class EnumerationSpec(_EnumerationFields):
+    """What to enumerate: order, connectivity filter, dedup, shard.
+
+    Checked however one is built: the constructor and `_replace` both go
+    through `_make`, which raises on a bad order or shard."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> EnumerationSpec:
+        return cls._make(super().__new__(cls, *args, **kwargs))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> EnumerationSpec:
+        spec = super()._make(fields)
+        if not 0 <= spec.n <= MAX_ENUM_VERTICES:
             raise SizeLimitError(
-                f"exhaustive enumeration supports 0 <= n <= {MAX_ENUM_VERTICES}, got {self.n}"
+                f"exhaustive enumeration supports 0 <= n <= {MAX_ENUM_VERTICES}, got {spec.n}"
             )
-        index, total = self.shard
+        index, total = spec.shard
         if total < 1 or not 0 <= index < total:
-            raise LocdomError(f"bad shard {self.shard}: need 0 <= index < total")
+            raise LocdomError(f"bad shard {spec.shard}: need 0 <= index < total")
+        return spec
 
 
 @lru_cache(maxsize=None)
@@ -195,8 +206,7 @@ def canonical_form(g: Graph) -> int:
     return min(_relabelings(sum(1 << pairs.index(e) for e in g.edges), g.n))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     parameter: str
     value: int
     bound: Fraction
@@ -237,8 +247,7 @@ def _solve_line(g: Graph, parameter: str) -> int:
     return solve_min(line_graph(g).line, parameter).value
 
 
-@dataclass(frozen=True)
-class _Theorem:
+class _Theorem(NamedTuple):
     """value(g, parameter) <= share * (m if of_edges else n), or == when exact,
     on every graph that passes the preconditions in order."""
 
@@ -303,14 +312,14 @@ def check_graph(g: Graph, theorem: str) -> BoundReport:
     return BoundReport(write_graph6(g), g.n, g.m, check, skip)
 
 
-@dataclass
 class TheoremSummary:
     """Running counters for one verification pass."""
 
-    theorem: str
-    checked: int = 0
-    skipped: Counter = field(default_factory=Counter)
-    violations: list[str] = field(default_factory=list)
+    def __init__(self, theorem: str) -> None:
+        self.theorem = theorem
+        self.checked = 0
+        self.skipped: Counter = Counter()
+        self.violations: list[str] = []
 
     def add(self, report: BoundReport) -> None:
         if report.skipped_reason is not None:

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
@@ -530,7 +529,7 @@ def test_verify_exit_three_on_violation(capsys, monkeypatch):
     def fail_two_classes(g, theorem):
         report = real_check(g, theorem)
         if g.n == 4 and canonical_form(g) in failing:
-            return report._replace(check=replace(report.check, holds=False))
+            return report._replace(check=report.check._replace(holds=False))
         return report
 
     monkeypatch.setattr("locdom.verify.check_graph", fail_two_classes)

@@ -1,9 +1,17 @@
-"""The package namespace: `from locdom import *` binds exactly `__all__`."""
+"""The package namespace: `from locdom import *` binds exactly `__all__`,
+its records are immutable, and importing the command line stays light."""
 
 import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import locdom
+from locdom import verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,3 +64,35 @@ def test_every_package_name_has_a_reader():
         for name in _defined_names(tree) if not (name.startswith("__") and name.endswith("__"))
     }
     assert sorted(q for q in defined if q.split(".", 1)[1] not in read) == []
+
+
+def test_importing_the_cli_skips_the_dataclasses_chain():
+    # every locdom process pays its imports; the records are NamedTuples, so
+    # none pulls in dataclasses and, with it, inspect, ast, dis and tokenize
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, locdom.cli; print(*sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "locdom.cli" in out
+    assert [m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize") if m in out] == []
+
+
+def test_records_are_immutable():
+    g = locdom.named_graph("P4")
+    check = locdom.BoundCheck("eld", 2, Fraction(3, 2), False)
+    records = [
+        locdom.solve_min(g, "eld"),
+        locdom.twin_report(g),
+        locdom.line_graph(g),
+        locdom.EnumerationSpec(4),
+        check,
+        locdom.BoundReport("CR", 4, 3, check, None),
+        verify._THEOREMS["eld_half"],
+    ]
+    for record in records:
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = None

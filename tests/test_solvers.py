@@ -594,6 +594,49 @@ def test_weld_reuses_eld_only_without_edge_twins(searches, builds):
     assert searches == builds == [3, 3]
 
 
+def _counting_floor(ground):
+    """The least k with 2^k - 1 distinct nonempty traces for ground - k elements."""
+    return next(k for k in range(ground + 1) if (1 << k) - 1 >= ground - k)
+
+
+def test_total_variants_start_from_the_plain_value(searches, monkeypatch):
+    # A total set is a plain one, so dom <= tdom, ld <= ltd and eld <= eltd:
+    # a total search starts from the plain value on the same adjacency when
+    # the memo holds it, and from the counting floor when it does not.
+    floors = []
+    search = solvers._least_hitting_set
+
+    def recorded(ground, family, first_k):
+        floors.append(first_k)
+        return search(ground, family, first_k)
+
+    monkeypatch.setattr(solvers, "_least_hitting_set", recorded)
+    for g in _edge_twin_free_sample():
+        counts = 0, _counting_floor(g.n), _counting_floor(g.m)
+        for (plain, total), count in zip((("dom", "tdom"), ("ld", "ltd"), ("eld", "eltd")), counts):
+            solvers._SOLVED.clear()
+            floors.clear()
+            cold = _answer(g, total)
+            solvers._SOLVED.clear()
+            value = _answer(g, plain)[0]
+            assert _answer(g, total) == cold, (g.edges, total)
+            assert floors == [count, count, value], (g.edges, total)
+        # ltd of L(G) reads eld's entry, since L(G)'s vertex adjacency is G's edge adjacency
+        solvers._SOLVED.clear()
+        floors.clear()
+        value = _answer(g, "eld")[0]
+        _answer(line_graph(g).line, "ltd")
+        assert floors[1] == value
+    # the floor is read with get: dom solved after eld stays the more recent
+    g = P5
+    solvers._SOLVED.clear()
+    for name in ("eld", "dom", "eltd"):
+        solve_min(g, name)
+    assert list(solvers._SOLVED) == [
+        (g.eadj, False, True, False), (g.vadj, False, False, False), (g.eadj, True, True, False)
+    ]
+
+
 def test_solve_order_does_not_change_results(searches):
     # Forward and reverse over the seven parameters and ld, ltd of L(G),
     # each from a cleared memo, and each solve again alone: every answer

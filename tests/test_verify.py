@@ -1,5 +1,6 @@
 """Enumeration, isomorphism tools, the twin census, and bound checking."""
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -39,16 +40,32 @@ SELF_COMPLEMENTARY = {1: 1, 2: 0, 3: 0, 4: 1, 5: 2, 6: 0}
 
 
 def test_spec_validation():
-    with pytest.raises(SizeLimitError):
-        EnumerationSpec(n=9)
-    with pytest.raises(SizeLimitError):
-        EnumerationSpec(n=-1)
-    with pytest.raises(LocdomError):
-        EnumerationSpec(n=4, shard=(2, 2))
-    with pytest.raises(LocdomError):
-        EnumerationSpec(n=4, shard=(0, 0))
-    with pytest.raises(LocdomError):
-        EnumerationSpec(n=4, shard=(-1, 3))
+    # bad input raises however a spec is built: positional, keyword, _replace or _make
+    spec = EnumerationSpec(4)
+    for bad_n in (9, -1):
+        for build in (
+            lambda: EnumerationSpec(bad_n),
+            lambda: EnumerationSpec(n=bad_n),
+            lambda: spec._replace(n=bad_n),
+            lambda: EnumerationSpec._make((bad_n, True, False, (0, 1))),
+        ):
+            with pytest.raises(SizeLimitError):
+                build()
+    for bad_shard in ((2, 2), (0, 0), (-1, 3)):
+        for build in (
+            lambda: EnumerationSpec(4, True, False, bad_shard),
+            lambda: EnumerationSpec(n=4, shard=bad_shard),
+            lambda: spec._replace(shard=bad_shard),
+            lambda: EnumerationSpec._make((4, True, False, bad_shard)),
+        ):
+            with pytest.raises(LocdomError):
+                build()
+    # a good spec is the same record whichever way it is built
+    good = EnumerationSpec(5, False, True, (1, 3))
+    assert good == EnumerationSpec(n=5, connected_only=False, dedup_isomorphic=True, shard=(1, 3))
+    assert good == spec._replace(n=5, connected_only=False, dedup_isomorphic=True, shard=(1, 3))
+    assert good == EnumerationSpec._make(good) == pickle.loads(pickle.dumps(good))
+    assert type(spec._replace(n=5)) is EnumerationSpec
 
 
 def test_labeled_counts():
