@@ -55,26 +55,27 @@ set of the optimum size was met first.  The first set met at the optimum
 size is therefore the lexicographically least optimum, and repeated runs
 are byte-identical.
 
-`solve_min` keeps the last 16 instances it solved, keyed on what fixes the
-family: the adjacency (`g.vadj`, or `g.eadj` for the edge variants), the
-total and locating flags, and whether twin pairs are exempt, which only
-weld on a graph with edge-twins is.  It looks the key up before building
-anything, so a hit costs one twin scan at most, never a family; the graph,
-the parameter and the counting floor are not part of it.  Whether the
-ground is edges only words the InfeasibleError, and an infeasible instance
-is never stored.  So the paper's
-identities cost one search per family: ld of L(G) reuses the search of eld
-on G, and ltd of L(G) that of eltd, since L(G)'s vertex adjacency is G's
-edge adjacency; and weld reuses eld's on an edge-twin-free graph, where no
-separation mask is a twin pair.  Under any valid floor the pass returns the
-same value and the same least witness, so an answer found under weld's
-floor of 0 is eld's too, and the other way round.  For the same reason a
-total variant may start from a larger floor: a total set is a plain one, so
-dom <= tdom, ld <= ltd and eld <= eltd, and on a miss the plain instance's
-value on the same adjacency, when the memo holds it, is the floor; that
-lets the pass stop at the first set of that size.  A graph's seven
-parameters and ld, ltd of L(G) are nine solves, so 16 entries cover any
-order of them; a larger bound only holds more memory.
+`solve_min` turns the graph and the parameter into one key: the adjacency
+(`g.vadj`, or `g.eadj` for the edge variants), the total and locating
+flags, and whether twin pairs are exempt, which only weld on a graph with
+edge-twins is.  The family, the counting floor and feasibility are
+functions of the key alone: the ground is range(len(adj)), and a total key
+is infeasible exactly when an element has no neighbour.  Whether the
+ground is edges only words the InfeasibleError.  So the key fixes the
+answer: `solve_min` keeps the last 16 answers by key and looks the key up
+before building anything, so a hit costs one twin scan at most, never a
+family; an infeasible instance is never stored.  So the paper's identities
+cost one search per family: ld of L(G) reuses the search of eld on G, and
+ltd of L(G) that of eltd, since L(G)'s vertex adjacency is G's edge
+adjacency; and weld on an edge-twin-free graph, where no separation mask
+is a twin pair, has eld's key.  Under any valid floor the pass returns the
+same value and the same least witness, so a total variant may start from a
+floor that is not in its key: a total set is a plain one, so dom <= tdom,
+ld <= ltd and eld <= eltd, and on a miss the plain instance's value on the
+same adjacency, when the memo holds it, is the floor; that lets the pass
+stop at the first set of that size.  A graph's seven parameters and ld,
+ltd of L(G) are nine solves, so 16 entries cover any order of them; a
+larger bound only holds more memory.
 
 The seven public `is_*` predicates are two tests on traces N(x) ∩ D over
 `g.vadj`, or over `g.eadj`, the vertex adjacency of L(G): domination wants
@@ -108,7 +109,7 @@ class Parameter(Enum):
     WEAK_EDGE_LOC_DOM = "weld"
 
     # The flags compare short names, several times faster than members read
-    # as Parameter.X; solve_min reads each flag twice when it builds a family.
+    # as Parameter.X; solve_min reads them on every solve, hits included.
     @property
     def on_edges(self) -> bool:
         return self.value in ("eld", "eltd", "weld")
@@ -213,38 +214,25 @@ def is_weak_edge_locating(g: Graph, members: Iterable[int]) -> bool:
     return _locates(g.eadj, _member_mask(members, g.check_edge), edge_twin_masks(g))
 
 
-def _constraint_masks(g: Graph, param: Parameter) -> tuple[int, list[int]]:
-    """Ground size and the family of masks that a feasible set must hit.
+def _constraint_masks(adj: tuple[int, ...], total: bool, locating: bool, weak: bool) -> list[int]:
+    """The family of masks that a feasible subset of range(len(adj)) must hit.
 
-    The first `ground` members are the covering masks in element order; the
-    separation masks of the locating variants follow, reduced to those that
-    contain no other member.  Raises InfeasibleError when a member is empty,
-    since no set meets it.
+    The first len(adj) members are the covering masks in element order (the
+    open neighbourhoods when total); the separation masks of a locating
+    instance follow, without the twin pairs when weak, reduced to those that
+    contain no other member.
     """
-    if param.on_edges:
-        ground, adj = g.m, g.eadj
-    else:
-        ground, adj = g.n, g.vadj
-    if param.total:
-        family = list(adj)
-    else:
-        family = [a | (1 << i) for i, a in enumerate(adj)]
-    if 0 in family:  # only a total variant has empty covering masks
-        reason, need = (
-            ("isolated_edge", "edge-total domination needs every edge to have an adjacent edge")
-            if param.on_edges
-            else ("isolated_vertex", "total domination needs every vertex to have a neighbour")
-        )
-        raise InfeasibleError(reason, f"infeasible: {reason} ({need})")
-    if not param.locating:
-        return ground, family
+    family = list(adj) if total else [a | 1 << i for i, a in enumerate(adj)]
+    if not locating:
+        return family
+    ground = len(adj)
     separations = {  # a pair without a common neighbour contains a's cover
         adj[a] ^ adj[b] | 1 << a | 1 << b
         for a in range(ground)
         for b in range(a + 1, ground)
         if adj[a] & adj[b]
     }
-    if param is Parameter.WEAK_EDGE_LOC_DOM:  # exempt the twin pairs
+    if weak:  # exempt the twin pairs
         separations = {mask for mask in separations if mask.bit_count() > 2}
     for mask in sorted(separations, key=int.bit_count):
         for low in family:
@@ -252,7 +240,7 @@ def _constraint_masks(g: Graph, param: Parameter) -> tuple[int, list[int]]:
                 break
         else:
             family.append(mask)
-    return ground, family
+    return family
 
 
 # (adjacency, total, locating, twin pairs exempt) -> (size, mask) for the
@@ -268,39 +256,46 @@ def solve_min(g: Graph, parameter: "str | Parameter") -> SolveResult:
     graphs with an isolated vertex (respectively isolated edge).  All other
     variants are always feasible (the whole ground set works).
 
-    An instance among the last 16 distinct ones solved (the same adjacency
-    and the same three flags that fix the family, from any graph and
-    parameter) is answered without building its family or searching, for
-    example ld and ltd of L(G) after eld and eltd of G (see the module
-    docstring).  The floor below is not part of the key, since every valid
-    floor gives the same value and least witness.  A total variant takes
-    the plain variant's value on the same adjacency as its floor when the
-    memo holds it, for example eltd after eld.
+    The family, the counting floor and feasibility are functions of one key,
+    the adjacency and the total, locating and twin-exempt flags, so a key
+    among the last 16 distinct ones solved, from any graph and parameter, is
+    answered without building its family or searching: ld and ltd of L(G)
+    after eld and eltd of G, for example (see the module docstring).  A
+    total variant's floor is the plain value on the same adjacency when the
+    memo holds it, eltd after eld for example; it is not part of the key,
+    since any valid floor gives the same value and least witness.
     """
     param = parse_parameter(parameter)
     adj = g.eadj if param.on_edges else g.vadj
+    total, locating = param.total, param.locating
     weak = param is Parameter.WEAK_EDGE_LOC_DOM and not is_edge_twin_free(g)
-    key = adj, param.total, param.locating, weak
+    key = adj, total, locating, weak
     found = _SOLVED.pop(key, None)
     if found is None:
-        ground, family = _constraint_masks(g, param)
+        if total and 0 in adj:  # an element without neighbours: no set covers it
+            reason, need = (
+                ("isolated_edge", "edge-total domination needs every edge to have an adjacent edge")
+                if param.on_edges
+                else ("isolated_vertex", "total domination needs every vertex to have a neighbour")
+            )
+            raise InfeasibleError(reason, f"infeasible: {reason} ({need})")
+        ground = len(adj)
         # Strict location needs ground - k distinct nonempty traces on a
         # k-set, so k-subsets with 2^k - 1 < ground - k cannot work, and a
         # set of the first size past them ends the search.  Twin exemptions
-        # void this bound for the weak variant (a star has weak value 1 at
-        # any size).
+        # void this bound (a star has weak value 1 at any size).
         first_k = 0
-        if param.locating and param is not Parameter.WEAK_EDGE_LOC_DOM:
+        if locating and not weak:
             while ground - first_k > (1 << first_k) - 1:
                 first_k += 1
         # A total set is a plain one too (dom <= tdom, ld <= ltd, eld <=
         # eltd), so a solved plain instance on the same adjacency is a floor;
         # get leaves its place in the memo's order alone.
-        if param.total:
-            plain = _SOLVED.get((adj, False, param.locating, weak))
+        if total:
+            plain = _SOLVED.get((adj, False, locating, weak))
             if plain is not None:
                 first_k = max(first_k, plain[0])
-        found = _least_hitting_set(ground, family, first_k)
+        found = _least_hitting_set(ground, _constraint_masks(*key), first_k)
         if len(_SOLVED) >= _SOLVED_BOUND:
             del _SOLVED[next(iter(_SOLVED))]
     _SOLVED[key] = found  # re-inserted last: the most recently used

@@ -231,7 +231,7 @@ class BoundReport(NamedTuple):
 # A precondition is (skip reason, test that fails the graph).  Tests and
 # values look solve_min, line_graph and the scans up in this module's
 # globals on every call, so wrappers installed from outside see them.
-_ISOLATED_EDGE = ("isolated_edge", lambda g: any(adj == 0 for adj in g.eadj))
+_ISOLATED_EDGE = ("isolated_edge", lambda g: 0 in g.eadj)
 _EDGE_TWINS = ("not_edge_twin_free", lambda g: not is_edge_twin_free(g))
 _DISCONNECTED = ("disconnected", lambda g: not is_connected(g))
 # Also the line-graph corollaries' preconditions: L(g) is twin-free without
@@ -274,7 +274,7 @@ _THEOREMS = {
     # ore_half reports dom = 0 <= 0 on the empty graph; cockayne_two_thirds
     # needs order at least 3 and skips K1 and K2 under the reason naming them.
     "ore_half": _Theorem(
-        (("isolated_vertex", lambda g: any(adj == 0 for adj in g.vadj)),),
+        (("isolated_vertex", lambda g: 0 in g.vadj),),
         "dom", _solve, _HALF, False,
     ),
     "cockayne_two_thirds": _Theorem(

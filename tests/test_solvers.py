@@ -414,16 +414,23 @@ def test_constraint_masks_start_with_a_symmetric_block():
     graphs += [parse_graph6(graph6) for graph6, *_ in PINNED]
     for g in graphs:
         for param in Parameter:
-            try:
-                ground, family = _constraint_masks(g, param)
-            except InfeasibleError:
-                continue
+            ground, family = _family(g, param)
             assert len(family) >= ground, (g, param)
             assert all(
                 family[i] >> j & 1 == family[j] >> i & 1
                 for i in range(ground)
                 for j in range(i + 1, ground)
             ), (g, param)
+
+
+def _family(g, param):
+    """The ground size and the family that _constraint_masks builds for g and
+    param, from the key solve_min passes it.  The twin pairs are exempt for
+    every weld graph here; solve_min exempts none on an edge-twin-free graph,
+    where no separation mask is a twin pair."""
+    adj = g.eadj if param.on_edges else g.vadj
+    weak = param is Parameter.WEAK_EDGE_LOC_DOM
+    return len(adj), _constraint_masks(adj, param.total, param.locating, weak)
 
 
 def _reference_family(g, param):
@@ -461,7 +468,8 @@ def test_constraint_masks_match_the_definitions():
     """The family as a set is every cover plus the separation masks that
     contain no other member; the covers come first, in element order.  Pairs
     without a common neighbour get no mask, so this also checks that those
-    masks are never inclusion-minimal."""
+    masks are never inclusion-minimal.  An instance with an empty cover is
+    infeasible, and solve_min says so."""
     rng = random.Random(20261021)
     graphs = [
         g
@@ -474,14 +482,12 @@ def test_constraint_masks_match_the_definitions():
     ]
     for g in graphs:
         for param in Parameter:
-            if not param.locating:
-                continue
             covers, separations = _reference_family(g, param)
-            if 0 in covers:
+            if 0 in covers:  # an element no set covers
                 with pytest.raises(InfeasibleError):
-                    _constraint_masks(g, param)
+                    solve_min(g, param)
                 continue
-            ground, family = _constraint_masks(g, param)
+            ground, family = _family(g, param)
             assert family[:ground] == covers, (g, param)
             assert len(family) == ground + len(separations), (g, param)
             assert set(family[ground:]) == separations, (g, param)
@@ -535,10 +541,9 @@ def builds(searches, monkeypatch):
     grounds = []
     build = solvers._constraint_masks
 
-    def counted(g, param):
-        ground, family = build(g, param)
-        grounds.append(ground)
-        return ground, family
+    def counted(adj, total, locating, weak):
+        grounds.append(len(adj))
+        return build(adj, total, locating, weak)
 
     monkeypatch.setattr(solvers, "_constraint_masks", counted)
     return grounds
@@ -602,7 +607,9 @@ def _counting_floor(ground):
 def test_total_variants_start_from_the_plain_value(searches, monkeypatch):
     # A total set is a plain one, so dom <= tdom, ld <= ltd and eld <= eltd:
     # a total search starts from the plain value on the same adjacency when
-    # the memo holds it, and from the counting floor when it does not.
+    # the memo holds it, and from the counting floor when it does not.  The
+    # floor is read from the key, so weld without edge-twins, eld's key,
+    # starts from eld's counting floor.
     floors = []
     search = solvers._least_hitting_set
 
@@ -627,6 +634,15 @@ def test_total_variants_start_from_the_plain_value(searches, monkeypatch):
         value = _answer(g, "eld")[0]
         _answer(line_graph(g).line, "ltd")
         assert floors[1] == value
+        solvers._SOLVED.clear()
+        floors.clear()
+        _answer(g, "weld")
+        assert floors == [_counting_floor(g.m)], g.edges
+    # the pairs of a star's edges are exempt, which voids the counting floor
+    solvers._SOLVED.clear()
+    floors.clear()
+    assert _answer(star(3), "weld") == (1, (0,))
+    assert floors == [0]
     # the floor is read with get: dom solved after eld stays the more recent
     g = P5
     solvers._SOLVED.clear()
