@@ -18,42 +18,42 @@ A set D is feasible exactly when it meets every member of the family:
   weak variant drops the masks of two elements.
 
 Meeting a mask survives adding elements, so feasibility is closed under
-supersets, and a mask that contains another member is redundant; the
-locating families keep only the members that contain no other.  So only
-pairs with a common neighbour get a separation mask: when adj[a] & adj[b]
-is empty, the XOR is the union, and the mask contains a's covering mask,
-open or closed, in every variant.
+supersets, and a mask that contains another member is redundant: the family
+keeps only the inclusion-minimal members, covers included, sorted by size
+and then by highest element.  So only pairs with a common neighbour get a
+separation mask: when adj[a] & adj[b] is empty, the XOR is the union, and
+the mask contains a's covering mask, open or closed, in every variant.
 
-`solve_min` runs one depth-first branch and bound (Land & Doig, 1960) over
-prefixes in lexicographic order.  It keeps the smallest set found so far,
-and its size less one is the budget: a branch is worth entering only if it
-can still hold a smaller set.  The search state is the set of members hit
-so far, and no branch is called only to die on entry:
+`_least_hitting_set` runs one depth-first decision, `complete(unhit, left,
+banned)`: a set of at most left elements, none banned, that meets every
+member in unhit.  It branches on the first unhit member, which is a
+smallest one, over its elements that are not banned, in increasing order:
+every answer holds one of them (the classic hitting-set branching).  Once
+the branch on e has failed, every answer through e has been tried, so e is
+banned for the later siblings and their subtrees.  A branch is entered only
+when its unhit members number at most the elements it may still add times
+the most members any one element meets.  The decision serves two phases:
 
-- the scan over the next element j stops once a member whose highest
-  element lies below j is unhit, since neither j nor any later element
-  can hit it;
-- a branch is entered only when its unhit members number at most the
-  elements it may still add under the budget times the most members any
-  one element hits;
-- the last slot takes no call: its element lies in every unhit member, so
-  only the elements above j of the two lowest unhit members are tried, in
-  increasing order, and the first whose hits cover all unhit members
-  completes the set.
+- the value: the sizes k = floor, floor + 1, ... are decided in turn, from
+  a lower bound (one element; the number of members divided by the most
+  that one element meets; for strict location, a count of traces); the
+  first k that has a set is the minimum, and the set found has exactly k
+  elements;
+- the least witness, by greedy self-reduction: position by position, it
+  takes the least element e above the prefix such that the members the
+  prefix and e leave unhit have a completion of at most left - 1 elements,
+  all above e, where left counts the positions still open.  The last
+  completion found has a least element that is known to work, so only the
+  elements below it are tested.
 
-A prefix that meets every member ends its node, since its later siblings
-only give sets of the same size that come later.  A last-slot completion
-only tightens the budget: a later sibling may still complete alone, one
-element smaller.  The search stops at the first set whose size a lower
-bound proves optimal (one element, the family over the widest element's
-hits, and for strict location a count of traces).
-
-Sets of one size are met in lexicographic order.  Each cut removes only
-branches that hold no set under the budget, and the budget never drops
-below the optimum before a set of that size is found, so every earlier
-set of the optimum size was met first.  The first set met at the optimum
-size is therefore the lexicographically least optimum, and repeated runs
-are byte-identical.
+Every minimum set has exactly k elements, so the prefix, e and a completion
+of at most left - 1 elements above e always make a minimum set, and one
+that starts with the prefix and e exists exactly when the test succeeds.
+Taking the least such e at every position therefore builds the least
+sorted k-tuple among the minimum sets, the lexicographically least optimum.
+Both phases are exact, so neither the order of the members nor the lower
+bound the value starts from changes the value or the witness, and repeated
+runs are byte-identical.
 
 `solve_min` turns the graph and the parameter into one key: the adjacency
 (`g.vadj`, or `g.eadj` for the edge variants), the total and locating
@@ -68,12 +68,12 @@ family; an infeasible instance is never stored.  So the paper's identities
 cost one search per family: ld of L(G) reuses the search of eld on G, and
 ltd of L(G) that of eltd, since L(G)'s vertex adjacency is G's edge
 adjacency; and weld on an edge-twin-free graph, where no separation mask
-is a twin pair, has eld's key.  Under any valid floor the pass returns the
-same value and the same least witness, so a total variant may start from a
-floor that is not in its key: a total set is a plain one, so dom <= tdom,
-ld <= ltd and eld <= eltd, and on a miss the plain instance's value on the
-same adjacency, when the memo holds it, is the floor; that lets the pass
-stop at the first set of that size.  A graph's seven parameters and ld,
+is a twin pair, has eld's key.  Under any valid floor the search returns
+the same value and the same least witness, so a total variant may start
+from a floor that is not in its key: a total set is a plain one, so
+dom <= tdom, ld <= ltd and eld <= eltd, and on a miss the plain instance's
+value on the same adjacency, when the memo holds it, is the floor; that
+spares the search the sizes below it.  A graph's seven parameters and ld,
 ltd of L(G) are nine solves, so 16 entries cover any order of them; a
 larger bound only holds more memory.
 
@@ -88,8 +88,6 @@ read no mask of the family, so they stay an independent check on the solver.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate
-from operator import or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import Graph, bits
@@ -217,24 +215,30 @@ def is_weak_edge_locating(g: Graph, members: Iterable[int]) -> bool:
 def _constraint_masks(adj: tuple[int, ...], total: bool, locating: bool, weak: bool) -> list[int]:
     """The family of masks that a feasible subset of range(len(adj)) must hit.
 
-    The first len(adj) members are the covering masks in element order (the
-    open neighbourhoods when total); the separation masks of a locating
-    instance follow, without the twin pairs when weak, reduced to those that
-    contain no other member.
+    Its members are the inclusion-minimal masks among the covering masks
+    (the open neighbourhoods when total) and, for a locating instance, the
+    separation masks, without the twin pairs when weak.  They are sorted by
+    size and then by highest element, so the search branches on small
+    members first.
     """
-    family = list(adj) if total else [a | 1 << i for i, a in enumerate(adj)]
-    if not locating:
-        return family
-    ground = len(adj)
-    separations = {  # a pair without a common neighbour contains a's cover
-        adj[a] ^ adj[b] | 1 << a | 1 << b
-        for a in range(ground)
-        for b in range(a + 1, ground)
-        if adj[a] & adj[b]
-    }
-    if weak:  # exempt the twin pairs
-        separations = {mask for mask in separations if mask.bit_count() > 2}
-    for mask in sorted(separations, key=int.bit_count):
+    members = list(adj) if total else [a | 1 << i for i, a in enumerate(adj)]
+    if locating:
+        ground = len(adj)
+        separations = {  # a pair without a common neighbour contains a's cover
+            adj[a] ^ adj[b] | 1 << a | 1 << b
+            for a in range(ground)
+            for b in range(a + 1, ground)
+            if adj[a] & adj[b]
+        }
+        if weak:  # exempt the twin pairs
+            separations = {mask for mask in separations if mask.bit_count() > 2}
+        members += separations
+    # Two stable sorts: by size, ties by highest element.  A member can only
+    # contain members that come before it, and an equal one is dropped too.
+    members.sort(key=int.bit_length)
+    members.sort(key=int.bit_count)
+    family: list[int] = []
+    for mask in members:
         for low in family:
             if low & mask == low:
                 break
@@ -281,9 +285,9 @@ def solve_min(g: Graph, parameter: "str | Parameter") -> SolveResult:
             raise InfeasibleError(reason, f"infeasible: {reason} ({need})")
         ground = len(adj)
         # Strict location needs ground - k distinct nonempty traces on a
-        # k-set, so k-subsets with 2^k - 1 < ground - k cannot work, and a
-        # set of the first size past them ends the search.  Twin exemptions
-        # void this bound (a star has weak value 1 at any size).
+        # k-set, so k-subsets with 2^k - 1 < ground - k cannot work, and the
+        # search decides no size below them.  Twin exemptions void this
+        # bound (a star has weak value 1 at any size).
         first_k = 0
         if locating and not weak:
             while ground - first_k > (1 << first_k) - 1:
@@ -306,80 +310,74 @@ def solve_min(g: Graph, parameter: "str | Parameter") -> SolveResult:
 def _least_hitting_set(ground: int, family: list[int], first_k: int) -> tuple[int, int]:
     """Smallest subset of range(ground) that meets every mask in family,
     lexicographically least among the smallest.  Every mask is a nonempty
-    subset of range(ground), the first ground masks are symmetric (j lies in
-    mask i exactly when i lies in mask j), and no size below first_k works.
+    subset of range(ground), in any order, and no size below first_k works.
 
-    One depth-first pass over prefixes in lexicographic order enters only
-    branches that can still hold a set smaller than the best so far.  Sets
-    of one size are met in lexicographic order, and no cut removes a set of
-    the optimum size before one is met, so the first one met is the least.
+    One decision, `complete`, serves two phases: the value is the first size
+    k, counted up from a lower bound, at which it finds a set; the witness is
+    then fixed element by element, each the least one that still has a
+    completion to k elements above it (see the module docstring).
     """
     if not family:
         return 0, 0
-    full = (1 << len(family)) - 1
-    # hits[j]: the members that element j meets.  Adjacency is symmetric,
-    # so the covering masks are their own transpose.  later[s]: the members
-    # that meet an element at or after s.
-    hits = family[:ground]
-    for i in range(ground, len(family)):
-        member, mask = 1 << i, family[i]
+    # hits[j]: the members that element j meets, as a mask of indices.
+    hits = [0] * ground
+    member = 1
+    for mask in family:
         while mask:
             low = mask & -mask
             hits[low.bit_length() - 1] |= member
             mask ^= low
-    later = list(accumulate(reversed(hits), or_))[::-1]
+        member <<= 1
     widest = max(map(int.bit_count, hits))
-    # No set is smaller than first_k, than one element, or than the family
-    # over the most members one element meets: a set of this size is optimal.
-    floor = max(first_k, 1, -(-len(family) // widest))
-    # The whole ground set always works, so the budget starts above it.
-    best, least = ground + 1, 0
 
-    def dfs(start: int, size: int, hit: int, chosen: int) -> bool:
-        """Extend chosen (size elements, all below start); True once a set
-        of the floor size is found, which ends the search."""
-        nonlocal best, least
-        for j in range(start, ground):
-            # An unhit member wholly below j is missed by j and by every
-            # later element, so no later branch can succeed either.
-            if hit | later[j] != full:
-                return False
-            now = hit | hits[j]
-            if now == full:
-                # Later siblings only give sets of this size that come
-                # later, and deeper sets are larger.
-                best, least = size + 1, chosen | 1 << j
-                return best == floor
-            # Choosing j leaves rest unhit, and a set under the budget has
-            # room for slots more elements.  Every member below j + 1 is
-            # hit now (those below j by the test above, the others contain
-            # j), so a child could only die on the width bound: test it here.
-            slots = best - 2 - size
-            rest = full ^ now
-            if rest.bit_count() > slots * widest:
-                continue
-            if slots == 1:
-                # The last element lies in every unhit member, so it is an
-                # element above j of the two lowest; try those in order.
-                # A hit tightens the budget, and the loop goes on: a later
-                # sibling may still complete alone, one element smaller.
-                low = rest & -rest
-                second = rest ^ low
-                above = family[low.bit_length() - 1] >> j + 1 << j + 1
-                if second:
-                    above &= family[(second & -second).bit_length() - 1]
-                while above:
-                    last = above & -above
-                    if hits[last.bit_length() - 1] & rest == rest:
-                        best, least = size + 2, chosen | 1 << j | last
-                        if best == floor:
-                            return True
-                        break
-                    above ^= last
-                continue
-            if dfs(j + 1, size + 1, now, chosen | 1 << j):
-                return True
-        return False
+    def complete(unhit: int, left: int, banned: int) -> int:
+        """A set of at most left elements outside banned that meets every
+        member in unhit (not empty), or 0 when there is none."""
+        low = unhit & -unhit
+        choices = family[low.bit_length() - 1] & ~banned
+        left -= 1
+        room = left * widest  # the most members left more elements can meet
+        while choices:
+            e = choices & -choices
+            rest = unhit & ~hits[e.bit_length() - 1]
+            if not rest:
+                return e
+            if rest.bit_count() <= room:
+                found = complete(rest, left, banned)
+                if found:
+                    return found | e
+            # every set through e was tried: the later siblings go without it
+            banned |= e
+            choices ^= e
+        return 0
 
-    dfs(0, 0, 0, 0)
-    return best, least
+    # One element meets at most widest members, so no set is smaller than
+    # len(family) / widest, than one element, or than first_k.
+    everything = member - 1
+    size = max(first_k, 1, -(-len(family) // widest))
+    while not (found := complete(everything, size, 0)):
+        size += 1
+    # found completes the empty prefix; each step keeps a completion of the
+    # prefix, all above it, whose least element top is known to work.
+    least, unhit = 0, everything
+    for left in range(size - 1, -1, -1):
+        top = found & -found
+        found ^= top
+        room = left * widest
+        lo = least.bit_length()
+        below = (top - 1) >> lo << lo  # the elements above the prefix, below top
+        while below:
+            e = below & -below
+            rest = unhit & ~hits[e.bit_length() - 1]
+            if not rest:  # only when left is 0, or a smaller set would exist
+                found, top = 0, e
+                break
+            if rest.bit_count() <= room:
+                after = complete(rest, left, (e << 1) - 1)
+                if after:
+                    found, top = after, e
+                    break
+            below ^= e
+        least |= top
+        unhit &= ~hits[top.bit_length() - 1]
+    return size, least

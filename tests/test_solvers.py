@@ -280,10 +280,11 @@ def _random_family(rng: random.Random, ground: int) -> list[int]:
     """Nonempty masks on range(ground) of mixed density, from no graph.
 
     The first ground members form a symmetric block (j lies in member i
-    exactly when i lies in member j), as the search requires; any diagonal
-    is allowed, and up to 12 arbitrary members follow.  Some families are
-    planted: an element in every member (optimum 1), a pair that meets
-    every member (optimum at most 2), or every singleton (optimum ground).
+    exactly when i lies in member j), like a graph's covering masks; any
+    diagonal is allowed, and up to 12 arbitrary members follow.  Some
+    families are planted: an element in every member (optimum 1), a pair
+    that meets every member (optimum at most 2), or every singleton
+    (optimum ground).
     """
     density = rng.uniform(0.1, 0.7)
     family = [0] * ground
@@ -325,6 +326,7 @@ def _random_family(rng: random.Random, ground: int) -> list[int]:
 
 def test_least_hitting_set_matches_brute_force_on_random_families():
     rng = random.Random(20261018)
+    order = random.Random(20261030)  # apart, so the families stay the same
     optima = set()
     stops = set()
     top_chosen = 0
@@ -339,11 +341,15 @@ def test_least_hitting_set_matches_brute_force_on_random_families():
         )
         size, mask = _least_hitting_set(ground, family, 0)
         assert (size, tuple(bits(mask))) == expected, (ground, family)
-        # A true lower bound only lets the search stop sooner: at the
-        # optimum it stops at the first set of that size it meets.
-        for first_k in (size, size - 1):
-            assert _least_hitting_set(ground, family, first_k) == (size, mask), (
-                ground, family, first_k,
+        # The answer does not depend on the members' order, on a repeated
+        # member or on one that contains another, nor on which true lower
+        # bound the search starts from.
+        superset = order.choice(family) | order.getrandbits(ground)
+        shuffled = family + [order.choice(family), superset]
+        order.shuffle(shuffled)
+        for first_k in (0, size, size - 1):
+            assert _least_hitting_set(ground, shuffled, first_k) == (size, mask), (
+                ground, shuffled, first_k,
             )
         widest = max(sum(m >> x & 1 for m in family) for x in range(ground))
         floor = max(1, -(-len(family) // widest))
@@ -351,22 +357,22 @@ def test_least_hitting_set_matches_brute_force_on_random_families():
         optima.add("ground" if size == ground >= 3 else size)
         top_chosen += mask >> ground - 1 & 1
     # The cases the search treats apart: an optimum at the counting floor
-    # ends the search, one above it must outlast every smaller budget; the
-    # root alone, the last slot filled at the root, every element needed,
-    # and the highest element chosen.
+    # is found by the first decision, one above it only after a size that
+    # fails; one element, the last one filled at the first position, every
+    # element needed, and the highest element chosen.
     assert stops == {"floor", "exhausted"}
     assert {1, 2, 3, "ground"} <= optima
     assert top_chosen
 
 
 def test_least_hitting_set_improves_on_the_first_set_it_meets():
-    # Closed neighbourhoods of a claw whose centre is the last element: the
-    # pass meets {0, 1, 2}, then {0, 3}, and only then the optimum {3}.
+    # Closed neighbourhoods of a claw whose centre is the last element:
+    # {0, 1, 2} and {0, 3} come before {3} in lexicographic order, but only
+    # {3} is smallest, so the witness is the least among the smallest sets.
     claw = [0b1001, 0b1010, 0b1100, 0b1111]
     assert _least_hitting_set(4, claw, 0) == (1, 0b1000)
-    # Member 0 is {1} and member 1 is {0, 1}.  At the root, element 0 fills
-    # the last slot with 1, giving {0, 1}; its sibling 1 alone then hits
-    # both members, so a last-slot hit must not end its node.
+    # Member 0 is {1} and member 1 is {0, 1}: {0, 1} comes before {1}, and
+    # element 0, tried first at the one position, leaves member 0 unhit.
     assert _least_hitting_set(2, [0b10, 0b11], 0) == (1, 0b10)
 
 
@@ -405,22 +411,21 @@ def test_pinned_values_on_larger_graphs(graph6, name, value, witness):
     assert REF_PREDICATES[parse_parameter(name)](g, set(witness))
 
 
-def test_constraint_masks_start_with_a_symmetric_block():
-    """_least_hitting_set reads the first ground members as their own transpose,
-    so every family the solver builds must open with ground symmetric masks."""
+def test_constraint_masks_are_a_sorted_antichain():
+    """No member of a family the solver builds contains another or repeats,
+    and the members are sorted by size and then by highest element."""
     graphs = [
         g for n in range(6) for g in enumerate_graphs(EnumerationSpec(n=n, connected_only=False))
     ]
     graphs += [parse_graph6(graph6) for graph6, *_ in PINNED]
     for g in graphs:
         for param in Parameter:
-            ground, family = _family(g, param)
-            assert len(family) >= ground, (g, param)
-            assert all(
-                family[i] >> j & 1 == family[j] >> i & 1
-                for i in range(ground)
-                for j in range(i + 1, ground)
+            _, family = _family(g, param)
+            assert not any(
+                low & high == low for i, high in enumerate(family) for low in family[:i]
             ), (g, param)
+            sizes = [(mask.bit_count(), mask.bit_length()) for mask in family]
+            assert sizes == sorted(sizes), (g, param)
 
 
 def _family(g, param):
@@ -435,7 +440,8 @@ def _family(g, param):
 
 def _reference_family(g, param):
     """The covers, in element order, and the set of inclusion-minimal
-    separation masks, as bitmasks, from the definitions.
+    members of the covers and the separation masks, as bitmasks, from the
+    definitions.
 
     Element i is dominated when D meets N[i] (N(i) for the total variants);
     a and b are separated unless D misses a, b and every element adjacent to
@@ -445,18 +451,16 @@ def _reference_family(g, param):
     nbrs = conftest.edge_nbrs if param.on_edges else conftest.nbrs
     around = [frozenset(nbrs(g, i)) for i in range(ground)]
     covers = [a if param.total else a | {i} for i, a in enumerate(around)]
-    if not param.locating:
-        return list(map(_as_mask, covers)), set()
-    exempt = conftest.ref_edge_twin_pairs(g) if param is Parameter.WEAK_EDGE_LOC_DOM else set()
-    separations = {
-        around[a] ^ around[b] | {a, b}
-        for a, b in combinations(range(ground), 2)
-        if (a, b) not in exempt
-    }
+    members = set(covers)
+    if param.locating:
+        exempt = conftest.ref_edge_twin_pairs(g) if param is Parameter.WEAK_EDGE_LOC_DOM else set()
+        members |= {
+            around[a] ^ around[b] | {a, b}
+            for a, b in combinations(range(ground), 2)
+            if (a, b) not in exempt
+        }
     return list(map(_as_mask, covers)), {
-        _as_mask(s)
-        for s in separations
-        if not any(c <= s for c in covers) and not any(t < s for t in separations)
+        _as_mask(s) for s in members if not any(t < s for t in members)
     }
 
 
@@ -465,11 +469,10 @@ def _as_mask(members):
 
 
 def test_constraint_masks_match_the_definitions():
-    """The family as a set is every cover plus the separation masks that
-    contain no other member; the covers come first, in element order.  Pairs
-    without a common neighbour get no mask, so this also checks that those
-    masks are never inclusion-minimal.  An instance with an empty cover is
-    infeasible, and solve_min says so."""
+    """The family holds each inclusion-minimal member of the covers and the
+    separation masks once.  Pairs without a common neighbour get no mask, so
+    this also checks that those masks are never inclusion-minimal.  An
+    instance with an empty cover is infeasible, and solve_min says so."""
     rng = random.Random(20261021)
     graphs = [
         g
@@ -482,15 +485,14 @@ def test_constraint_masks_match_the_definitions():
     ]
     for g in graphs:
         for param in Parameter:
-            covers, separations = _reference_family(g, param)
+            covers, minimal = _reference_family(g, param)
             if 0 in covers:  # an element no set covers
                 with pytest.raises(InfeasibleError):
                     solve_min(g, param)
                 continue
-            ground, family = _family(g, param)
-            assert family[:ground] == covers, (g, param)
-            assert len(family) == ground + len(separations), (g, param)
-            assert set(family[ground:]) == separations, (g, param)
+            _, family = _family(g, param)
+            assert len(family) == len(minimal), (g, param)
+            assert set(family) == minimal, (g, param)
 
 
 def test_parameter_chains():
@@ -698,14 +700,21 @@ def test_memo_stays_within_its_bound(searches):
     assert searches == [50]
 
 
-# Sparse instances, on which the search takes longest for its size: values
-# and least witnesses recorded from the solver before solve_min kept a memo.
+# Sparse instances, on which the search took longest for its size: values
+# and least witnesses recorded from the solver before solve_min kept a memo,
+# the last (m = 45, value 2m/3) from the lexicographic branch and bound that
+# the two-phase search replaced, which took 8-11 s for it.
 SPARSE_PINNED = [
     (named_graph("P41"), "eld", 16, (1, 3, 6, 8, 11, 13, 16, 18, 21, 23, 26, 28, 31, 33, 36, 38)),
     (spider_weld_tree(6, 5), "weld", 16, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 18, 21, 24, 27, 30)),
     (
         subdivided_star_eltd(11), "eltd", 22,
         (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31),
+    ),
+    (
+        subdivided_star_eltd(15), "eltd", 30,
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+         17, 19, 21, 23, 25, 27, 29, 31, 33, 35, 37, 39, 41, 43),
     ),
 ]
 
