@@ -24,33 +24,43 @@ and then by highest element.  So only pairs with a common neighbour get a
 separation mask: when adj[a] & adj[b] is empty, the XOR is the union, and
 the mask contains a's covering mask, open or closed, in every variant.
 
-`_least_hitting_set` runs one depth-first decision, `complete(unhit, left,
-banned)`: a set of at most left elements, none banned, that meets every
-member in unhit.  It branches on the first unhit member, which is a
-smallest one, over its elements that are not banned, in increasing order:
-every answer holds one of them (the classic hitting-set branching).  Once
-the branch on e has failed, every answer through e has been tried, so e is
-banned for the later siblings and their subtrees.  A branch is entered only
-when its unhit members number at most the elements it may still add times
-the most members any one element meets.  The decision serves two phases:
+`_least_hitting_set` runs one depth-first decision, `complete(choices,
+unhit, left, banned)`: a set of at most left elements that meets every
+member in unhit, one element from choices and the others not banned.
+It tries choices in increasing order; once the branch on e has failed,
+every answer through e has been tried, so e is banned for the later
+siblings and their subtrees.  A branch is entered only when its unhit
+members number at most the elements it may still add times the most
+members any one element meets.  The caller names the branch set, and a
+branch names the unbanned elements of the first unhit member, which is a
+smallest one: every answer holds one of them.  It serves two phases:
 
-- the value: the sizes k = floor, floor + 1, ... are decided in turn, from
-  a lower bound (one element; the number of members divided by the most
-  that one element meets; for strict location, a count of traces); the
-  first k that has a set is the minimum, and the set found has exactly k
-  elements;
-- the least witness, by greedy self-reduction: position by position, it
-  takes the least element e above the prefix such that the members the
-  prefix and e leave unhit have a completion of at most left - 1 elements,
-  all above e, where left counts the positions still open.  The last
-  completion found has a least element that is known to work, so only the
-  elements below it are tested.
+- the value: the sizes k = floor, floor + 1, ... are decided in turn, on
+  the first member, from a lower bound (one element; the number of members
+  divided by the most that one element meets; for strict location, a count
+  of traces); the first k that has a set is the minimum, of k elements;
+- the least witness, by greedy self-reduction: with left positions open,
+  one call branches on the elements above the prefix and below the least
+  one of the last completion, which is known to work, with every element
+  up to the prefix's highest banned.  With the sibling bans each e is
+  tried with every element below it banned, so an answer starts with the
+  least e that a completion of at most left - 1 elements above e extends;
+  with none, the last completion stays.  The shift and the ban only prune:
+  a minimum set with the prefix and a lower element outside it would have
+  beaten the prefix earlier.  No set ends at the top of such a call: left
+  is at least 2 there, and the prefix and e alone would make fewer than k.
 
 Every minimum set has exactly k elements, so the prefix, e and a completion
 of at most left - 1 elements above e always make a minimum set, and one
 that starts with the prefix and e exists exactly when the test succeeds.
 Taking the least such e at every position therefore builds the least
 sorted k-tuple among the minimum sets, the lexicographically least optimum.
+The last position runs no test.  There the last completion is one element
+t, the first to finish the set in the first member that the path to t, the
+prefix, leaves unhit.  An element e below t that also finished it lies in
+that member, so it was tried first or banned; not by the prefix ban, as it
+lies above the prefix, so by a failed sibling branch.  But the rest of the
+path, with e for t, answered that branch, so no such e exists.
 Both phases are exact, so neither the order of the members nor the lower
 bound the value starts from changes the value or the witness, and repeated
 runs are byte-identical.
@@ -312,10 +322,10 @@ def _least_hitting_set(ground: int, family: list[int], first_k: int) -> tuple[in
     lexicographically least among the smallest.  Every mask is a nonempty
     subset of range(ground), in any order, and no size below first_k works.
 
-    One decision, `complete`, serves two phases: the value is the first size
-    k, counted up from a lower bound, at which it finds a set; the witness is
-    then fixed element by element, each the least one that still has a
-    completion to k elements above it (see the module docstring).
+    One decision, `complete`, serves both phases and branches on what its
+    caller names: the value is the first size k, counted up from a lower
+    bound, with a set through the first member; the witness is then fixed
+    element by element (see the module docstring).
     """
     if not family:
         return 0, 0
@@ -330,11 +340,10 @@ def _least_hitting_set(ground: int, family: list[int], first_k: int) -> tuple[in
         member <<= 1
     widest = max(map(int.bit_count, hits))
 
-    def complete(unhit: int, left: int, banned: int) -> int:
-        """A set of at most left elements outside banned that meets every
-        member in unhit (not empty), or 0 when there is none."""
-        low = unhit & -unhit
-        choices = family[low.bit_length() - 1] & ~banned
+    def complete(choices: int, unhit: int, left: int, banned: int) -> int:
+        """A set of at most left elements that meets every member in unhit
+        (not empty): one element from choices, the others outside banned;
+        or 0 when there is none."""
         left -= 1
         room = left * widest  # the most members left more elements can meet
         while choices:
@@ -343,7 +352,8 @@ def _least_hitting_set(ground: int, family: list[int], first_k: int) -> tuple[in
             if not rest:
                 return e
             if rest.bit_count() <= room:
-                found = complete(rest, left, banned)
+                low = rest & -rest
+                found = complete(family[low.bit_length() - 1] & ~banned, rest, left, banned)
                 if found:
                     return found | e
             # every set through e was tried: the later siblings go without it
@@ -355,29 +365,17 @@ def _least_hitting_set(ground: int, family: list[int], first_k: int) -> tuple[in
     # len(family) / widest, than one element, or than first_k.
     everything = member - 1
     size = max(first_k, 1, -(-len(family) // widest))
-    while not (found := complete(everything, size, 0)):
+    while not (found := complete(family[0], everything, size, 0)):
         size += 1
-    # found completes the empty prefix; each step keeps a completion of the
-    # prefix, all above it, whose least element top is known to work.
+    # found completes the prefix least, all above it; its least element is
+    # known to work, so only the elements between the two are tried.
     least, unhit = 0, everything
-    for left in range(size - 1, -1, -1):
+    for left in range(size, 1, -1):
+        lo = least.bit_length()
+        below = ((found & -found) - 1) >> lo << lo
+        found = complete(below, unhit, left, (1 << lo) - 1) or found
         top = found & -found
         found ^= top
-        room = left * widest
-        lo = least.bit_length()
-        below = (top - 1) >> lo << lo  # the elements above the prefix, below top
-        while below:
-            e = below & -below
-            rest = unhit & ~hits[e.bit_length() - 1]
-            if not rest:  # only when left is 0, or a smaller set would exist
-                found, top = 0, e
-                break
-            if rest.bit_count() <= room:
-                after = complete(rest, left, (e << 1) - 1)
-                if after:
-                    found, top = after, e
-                    break
-            below ^= e
         least |= top
         unhit &= ~hits[top.bit_length() - 1]
-    return size, least
+    return size, least | found  # the last element needs no test

@@ -591,13 +591,15 @@ def test_encode_errors_exit_one(capsys, monkeypatch):
     assert rc == 1
 
 
-def test_subcommand_required():
+def test_subcommand_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    assert "required" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
 def test_console_script_is_installed(tmp_path):

@@ -14,6 +14,7 @@ from locdom import (
     Parameter,
     VertexRangeError,
     enumerate_graphs,
+    is_connected,
     is_dominating,
     is_edge_dominating,
     is_edge_locating,
@@ -788,3 +789,62 @@ def test_tree_pins_hold_cold_and_warm(searches):
                 assert _answer(g, name) == (len(witness), witness), name
         # weld shares eld's search only on an edge-twin-free tree
         assert len(searches) - cold == 3 - is_edge_twin_free(g)
+
+
+def _definition_rows(g, param):
+    """The ground size and the sets that a feasible set must meet, written
+    from g.n, g.edges and the definitions alone: each element's closed
+    neighbourhood (its open one when total) and, for the locating variants,
+    each pair's N(a) ^ N(b) | {a, b}, except, for weld, the pairs of
+    edge-twins (equal open or closed edge neighbourhoods)."""
+    if param.on_edges:
+        ends = [set(edge) for edge in g.edges]
+        around = [{f for f, other in enumerate(ends) if f != e and ends[e] & other}
+                  for e in range(len(ends))]
+    else:
+        around = [set() for _ in range(g.n)]
+        for u, v in g.edges:
+            around[u].add(v)
+            around[v].add(u)
+    rows = [a if param.total else a | {i} for i, a in enumerate(around)]
+    if param.locating:
+        for a, b in combinations(range(len(around)), 2):
+            twins = around[a] == around[b] or around[a] | {a} == around[b] | {b}
+            if not (twins and param is Parameter.WEAK_EDGE_LOC_DOM):
+                rows.append(around[a] ^ around[b] | {a, b})
+    return len(around), rows
+
+
+def test_values_match_the_highs_integer_program():
+    """Values beyond brute-force reach against an independent exact solver:
+    the hitting-set integer program, solved to a zero gap by HiGHS."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    rng = random.Random(20261020)
+    graphs = []
+    while len(graphs) < 12:  # connected G(9, 1/2), by rejection
+        g = conftest.random_graph(rng, 9, 0.5)
+        if is_connected(g):
+            graphs.append(g)
+    tree = conftest.random_tree(random.Random(20261020), 31)
+    graphs += [spider_weld_tree(3, 6), subdivided_star_eltd(12), tree]
+    for g in graphs:
+        for param in Parameter:
+            ground, rows = _definition_rows(g, param)
+            matrix = np.zeros((len(rows), ground))
+            for r, row in enumerate(rows):
+                matrix[r, list(row)] = 1
+            program = milp(
+                np.ones(ground),
+                integrality=np.ones(ground),
+                bounds=Bounds(0, 1),
+                constraints=LinearConstraint(matrix, lb=1),
+                options={"mip_rel_gap": 0},
+            )
+            assert program.status == 0, (g, param, program.message)
+            result = solve_min(g, param)
+            assert round(program.fun) == result.value, (g, param)
+            assert all(row & result.witness for row in rows), (g, param)
+    # the tree's edge-twin exemptions lower its value, so weld's rows count
+    assert solve_min(tree, "weld").value < solve_min(tree, "eld").value
