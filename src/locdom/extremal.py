@@ -2,9 +2,10 @@
 constructive routine that builds an edge-locating-total-dominating set of a
 tree within the two-thirds bound.
 
-All generators emit canonically labeled instances (center first, legs in
-id order) so tests can compare edge lists exactly instead of up to
-isomorphism.
+All generators emit canonically labeled instances so tests can compare
+edge lists exactly instead of up to isomorphism.  Every star-shaped tree
+(both tight families, K_{1,k} and P_n) comes from one builder, `_spider`,
+which owns the numbering: centre first, legs in id order.
 """
 
 from __future__ import annotations
@@ -31,6 +32,19 @@ def _capped(n: int, m: int) -> None:
         raise SizeLimitError(f"{n} vertices and {m} edges: over the cap of {MAX_EDGELIST_VERTICES}")
 
 
+def _spider(*legs: tuple[int, int]) -> Graph:
+    """The centre 0 with count legs of each (length, count) group, every leg
+    numbered outward, one after another; the size cap is checked first."""
+    m = sum(length * count for length, count in legs)
+    _capped(m + 1, m)
+    pairs: list[tuple[int, int]] = []
+    for length, count in legs:
+        for _ in range(count):
+            leg = [0, *range(len(pairs) + 1, len(pairs) + 1 + length)]
+            pairs += zip(leg, leg[1:])
+    return Graph(m + 1, pairs)
+
+
 def spider_weld_tree(k2: int, k4: int) -> Graph:
     """Star with k2 legs of length 2 and k4 legs of length 4.
 
@@ -42,16 +56,7 @@ def spider_weld_tree(k2: int, k4: int) -> Graph:
         raise TooSmallError(f"leg counts must be non-negative, got ({k2}, {k4})")
     if k2 + k4 == 0:
         raise EmptyFamilyError("a spider needs at least one leg")
-    _capped(1 + 2 * k2 + 4 * k4, 2 * k2 + 4 * k4)
-    pairs = []
-    nxt = 1
-    for _ in range(k2):
-        pairs += [(0, nxt), (nxt, nxt + 1)]
-        nxt += 2
-    for _ in range(k4):
-        pairs += [(0, nxt), (nxt, nxt + 1), (nxt + 1, nxt + 2), (nxt + 2, nxt + 3)]
-        nxt += 4
-    return Graph(nxt, pairs)
+    return _spider((2, k2), (4, k4))
 
 
 def subdivided_star_eltd(k: int) -> Graph:
@@ -62,13 +67,7 @@ def subdivided_star_eltd(k: int) -> Graph:
     """
     if k <= 1:
         raise TooSmallError(f"need k >= 2 doubly subdivided legs, got {k}")
-    _capped(3 * k + 1, 3 * k)
-    pairs = []
-    nxt = 1
-    for _ in range(k):
-        pairs += [(0, nxt), (nxt, nxt + 1), (nxt + 1, nxt + 2)]
-        nxt += 3
-    return Graph(nxt, pairs)
+    return _spider((3, k))
 
 
 def named_graph(name: str) -> Graph:
@@ -83,16 +82,15 @@ def named_graph(name: str) -> Graph:
         k = int(hit.group(1))
         if k < 1:
             raise TooSmallError("a star needs at least one leaf")
-        _capped(k + 1, k)
-        return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
+        return _spider((1, k))
     hit = re.fullmatch(r"([pck])([0-9]{1,4300})", s)
     if hit:
         family, num = hit.group(1), int(hit.group(2))
-        _capped(num, {"p": num - 1, "c": num, "k": num * (num - 1) // 2}[family])
         if family == "p":
             if num < 1:
                 raise TooSmallError("a path needs at least one vertex")
-            return Graph(num, [(i, i + 1) for i in range(num - 1)])
+            return _spider((num - 1, 1))  # a leg of length 0 is P_1
+        _capped(num, num if family == "c" else num * (num - 1) // 2)
         if family == "c":
             if num < 3:
                 raise TooSmallError("a cycle needs at least three vertices")

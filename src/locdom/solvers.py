@@ -36,9 +36,9 @@ branch names the unbanned elements of the first unhit member, which is a
 smallest one: every answer holds one of them.  It serves two phases:
 
 - the value: the sizes k = floor, floor + 1, ... are decided in turn, on
-  the first member, from a lower bound (one element; the number of members
-  divided by the most that one element meets; for strict location, a count
-  of traces); the first k that has a set is the minimum, of k elements;
+  the first member, from a lower bound (the number of members over the most
+  that one element meets, at least 1; for strict location, a count of
+  traces); the first k that has a set is the minimum, of k elements;
 - the least witness, by greedy self-reduction: with left positions open,
   one call branches on the elements above the prefix and below the least
   one of the last completion, which is known to work, with every element
@@ -362,9 +362,10 @@ def _least_hitting_set(ground: int, family: list[int], first_k: int) -> tuple[in
         return 0
 
     # One element meets at most widest members, so no set is smaller than
-    # len(family) / widest, than one element, or than first_k.
+    # len(family) / widest, or than first_k; the family and every member are
+    # nonempty, so that bound is at least 1.
     everything = member - 1
-    size = max(first_k, 1, -(-len(family) // widest))
+    size = max(first_k, -(-len(family) // widest))
     while not (found := complete(family[0], everything, size, 0)):
         size += 1
     # found completes the prefix least, all above it; its least element is

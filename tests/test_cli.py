@@ -240,6 +240,7 @@ def test_solve_unknown_parameter_is_usage_error(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--param", "gamma"])
     assert exc.value.code == 2
+    assert "invalid choice: 'gamma'" in capsys.readouterr().err
 
 
 def test_twins_json(capsys, monkeypatch):
@@ -274,17 +275,18 @@ def test_gen_families(capsys, monkeypatch):
 
 
 def test_gen_usage_errors(capsys, monkeypatch):
-    for argv in (
-        ["gen", "--family", "spider", "1"],
-        ["gen", "--family", "spider", "a", "b"],
-        ["gen", "--family", "substar"],
-        ["gen", "--family", "substar", "x"],
-        ["gen", "--family", "named"],
-        ["gen", "--family", "wheel", "4"],
+    for argv, cause in (
+        (["spider", "1"], "needs two integer leg counts"),
+        (["spider", "a", "b"], "needs two integer leg counts"),
+        (["substar"], "needs one integer leg count"),
+        (["substar", "x"], "needs one integer leg count"),
+        (["named"], "needs one graph name"),
+        (["wheel", "4"], "invalid choice: 'wheel'"),
     ):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(["gen", "--family", *argv])
         assert exc.value.code == 2
+        assert cause in capsys.readouterr().err, argv
 
 
 def test_integer_arguments_are_ascii_decimals(capsys, monkeypatch):
@@ -294,15 +296,19 @@ def test_integer_arguments_are_ascii_decimals(capsys, monkeypatch):
         for stdin in (f"3 1\n0 {bad}\n", f"3 {bad}\n0 1\n"):
             rc, out, err = run_cli(capsys, monkeypatch, encode, stdin=stdin)
             assert (rc, out) == (1, "") and "non-integer" in err
-        for argv in (
-            ["gen", "--family", "spider", bad, "0"],
-            ["gen", "--family", "substar", bad],
-            ["verify", "--theorem", "weld_half", "--max-n", bad],
-            ["verify", "--theorem", "weld_half", "--shard", f"0/{bad}"],
+        for argv, cause in (
+            (["gen", "--family", "spider", bad, "0"], "needs two integer leg counts"),
+            (["gen", "--family", "substar", bad], "needs one integer leg count"),
+            (["verify", "--theorem", "weld_half", "--max-n", bad], "--max-n needs an integer"),
+            (
+                ["verify", "--theorem", "weld_half", "--shard", f"0/{bad}"],
+                "shard must look like 'i/t'",
+            ),
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+            assert cause in capsys.readouterr().err, argv
 
 
 def test_gen_domain_errors_exit_one(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from locdom import (
     Graph,
     LocdomError,
     NotATreeError,
+    SizeLimitError,
     TooSmallError,
     is_edge_locating,
     is_edge_total_dominating,
@@ -26,6 +27,7 @@ from locdom import (
     spider_weld_tree,
     subdivided_star_eltd,
     tree_eltd_construct,
+    write_graph6,
 )
 from conftest import nx_isomorphic, random_tree, to_networkx
 
@@ -100,6 +102,37 @@ def test_named_graph_catalogue():
     assert named_graph("K1,3") == Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert named_graph("K_{1,5}").n == 6
     assert named_graph("  p5 ") == named_graph("P5")
+
+
+def test_star_shaped_numbering_is_pinned():
+    # graph6 recorded before the star-shaped generators shared one builder:
+    # the centre is 0, then each leg is numbered outward, one after another
+    pins = [
+        (spider_weld_tree(2, 1), "HkE?GC@"),
+        (spider_weld_tree(1, 2), "JkCGK?@?G?_"),
+        (spider_weld_tree(0, 3), "LhE?GC@_??_@?@"),
+        (subdivided_star_eltd(2), "Fh_GG"),
+        (subdivided_star_eltd(4), "Lh_GK?@?K??@?@"),
+        (named_graph("K1,5"), "Esa?"),
+        (named_graph("P1"), "@"),
+        (named_graph("P6"), "EhCG"),
+    ]
+    assert [write_graph6(g) for g, _ in pins] == [g6 for _, g6 in pins]
+
+
+def test_star_shaped_size_cap_names_n_and_m():
+    # the first size past the cap, refused before anything is built, so an
+    # off-by-one in a derived n or m shows in the message
+    for build, arg, n in (
+        (spider_weld_tree, (32768, 0), 65537),
+        (spider_weld_tree, (1, 16384), 65539),
+        (subdivided_star_eltd, (21846,), 65539),
+        (named_graph, ("K1,65536",), 65537),
+        (named_graph, ("P65537",), 65537),
+    ):
+        with pytest.raises(SizeLimitError) as exc:
+            build(*arg)
+        assert str(exc.value) == f"{n} vertices and {n - 1} edges: over the cap of 65536", arg
 
 
 def test_named_graph_errors():
