@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .verify import BoundReport
 
 _HEADER = ">>graph6<<"
-MAX_EDGELIST_VERTICES = 1 << 16  # two [0] * n lists of this size stay under 1 MB
+MAX_EDGELIST_VERTICES = 1 << 16  # caps the order and Graph's [0] * n lists, not its int bitsets
 
 
 def parse_graph6(line: str) -> Graph:

@@ -17,11 +17,12 @@ about 0.015-0.025 s at n = 6 and 1.2-1.5 s at n = 7.  At n = 8 it would be
 512 MB, kept until the process ends, and the labeled loop over 2^28 masks is
 impractical anyway; that wants canonical augmentation.
 
-Dealing runs in C: `itertools.compress` keeps the masks whose class passes
-the connectivity filter, and `islice` deals them round-robin to shards for
-embarrassingly parallel runs.  Shards in one process share the table;
-each shard process still fills the whole table.  Isomorphism dedup (off by
-default) keeps the first mask of each class within the shard.
+`_dealt` decides which masks a spec deals; `enumerate_graphs` and
+`census_lines` only render them.  `itertools.compress` keeps the masks whose
+class passes the connectivity filter and `islice` deals them round-robin to
+shards, both in C; isomorphism dedup (off by default) then keeps the first
+mask of each class within the shard.  Shards in one process share the
+table; each shard process still fills the whole table.
 `census_lines`, which `locdom verify` runs, solves each class once and
 renders the class's line after graph6 then.  A later member costs one
 table read for its class, two for its graph6 (in `codec.graph6_halves`),
@@ -144,8 +145,9 @@ def _class_table(n: int) -> tuple[array, list[bool]]:
     """n's class table, one class index per labeled mask, and per class index
     whether the class is connected.  The first mask whose slot is still 0
     gets a new even index c, written over its relabelings, and c ^ 1 over
-    its complement's unless the class is self-complementary.  Indices are
-    keys, not dense; the largest, 2 * 12,346 + 1 at n = 8, fits 16 bits.
+    its complement's unless the class is self-complementary.  Indices go two
+    per complementary pair of classes, from 2: at n = 8, 6,178 pairs (12,346
+    classes, 10 self-complementary) keep them below 12,358, in 16 bits.
     Built once per order per process and shared by every caller: read both,
     never write them.  The flags are a list, not a tuple, because `_dealt`
     maps `list.__getitem__` over the table about 1.5x as fast."""
@@ -166,34 +168,32 @@ def _class_table(n: int) -> tuple[array, list[bool]]:
 
 def _dealt(spec: EnumerationSpec) -> tuple[array, int, Iterator[int]]:
     """spec.n's shared class table (`_class_table`, read only), the number of
-    class indices, and the masks that spec deals: shard (i, t) keeps
-    positions i, i + t, ... of the masks, in order, whose class passes the
-    connectivity filter."""
+    class indices, and the masks spec deals, in increasing order.  Shard (i, t)
+    keeps positions i, i + t, i + 2t, ... of the masks whose class passes the
+    connectivity filter, so t shards partition the unsharded stream and differ
+    in size by at most one.  Dedup then keeps the first mask of each class
+    within the shard, so dedup shards need not partition the classes."""
     classes, connected = _class_table(spec.n)
-    index, total = spec.shard
     masks = range(len(classes))
     if spec.connected_only:
         masks = compress(masks, map(connected.__getitem__, classes))
-    return classes, len(connected), islice(masks, index, None, total)
+    masks = islice(masks, spec.shard[0], None, spec.shard[1])
+    if spec.dedup_isomorphic:
+        masks = _first_of_each_class(masks, classes, [True] * len(connected))
+    return classes, len(connected), masks
+
+
+def _first_of_each_class(masks: Iterator[int], classes: array, unseen: list[bool]) -> Iterator[int]:
+    for mask in masks:
+        if unseen[classes[mask]]:
+            unseen[classes[mask]] = False
+            yield mask
 
 
 def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
-    """Yield every labeled graph on exactly spec.n vertices, filtered per spec.
-
-    Shard (i, t) keeps the masks at positions i, i + t, i + 2t, ... of the
-    stream that passes the connectivity filter, so the t shards partition
-    the unsharded stream and their sizes differ by at most one.  The class
-    table is built once per order per process, so shards, filters and later
-    calls in one process share it; each shard process builds it once.  With
-    dedup each isomorphism class is represented by its first mask in scan
-    order (within the shard).
-    """
-    classes, count, masks = _dealt(spec)
-    unseen = [True] * count
-    for mask in masks:
-        if unseen[classes[mask]]:
-            unseen[classes[mask]] = not spec.dedup_isomorphic
-            yield Graph._from_mask(spec.n, mask)
+    """Yield the labeled graph on spec.n vertices of each mask `_dealt` deals."""
+    for mask in _dealt(spec)[2]:
+        yield Graph._from_mask(spec.n, mask)
 
 
 def canonical_form(g: Graph) -> int:

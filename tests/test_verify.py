@@ -26,7 +26,7 @@ from locdom import (
     report_lines,
     twin_report,
 )
-from locdom.verify import _class_table, _dealt, _relabelings
+from locdom.verify import _class_table, _dealt, _relabelings, census_lines
 from conftest import class_reps, nx_isomorphic, random_graph
 
 # labeled graph counts on n vertices: all, and connected
@@ -141,6 +141,8 @@ def _first_per_class(graphs):
 
 
 def test_dedup_keeps_first_mask_per_class():
+    # canonical_form is the slow oracle for the dedup in _dealt, and the
+    # per-graph stream over the dedup spec the oracle for the census over it
     for n in range(0, 6):
         for connected_only in (True, False):
             for total in (1, 2, 3):
@@ -149,6 +151,13 @@ def test_dedup_keeps_first_mask_per_class():
                     dedup = EnumerationSpec(n, connected_only, True, (i, total))
                     want = [g.edges for g in _first_per_class(enumerate_graphs(spec))]
                     assert [g.edges for g in enumerate_graphs(dedup)] == want
+                    for theorem in THEOREMS:
+                        census, per_graph = TheoremSummary(theorem), TheoremSummary(theorem)
+                        reports = iter_reports(enumerate_graphs(dedup), theorem, per_graph)
+                        want_lines = "".join(line + "\n" for line in report_lines(reports))
+                        lines = "".join(census_lines([dedup], theorem, census))
+                        assert lines == want_lines, (theorem, dedup)
+                        assert census.to_json() == per_graph.to_json(), (theorem, dedup)
 
 
 def test_relabelings_walk_every_permutation_once():
