@@ -7,15 +7,16 @@ mask holds its isomorphism class index.  It is built once per order per
 process, before the first mask of that order is dealt, and every later
 stream of the order (another theorem, shard or filter) reuses it.  A slot
 still 0, found by `array.index` in C, starts a new class: its connectivity
-and its complement's are tested, and its index goes into all n!
-relabelings of the mask (orbit marking, Read, "Every one a winner", 1978),
-the index ^ 1 into the complement's.  The relabelings are walked by
-adjacent label swaps in Steinhaus-Johnson-Trotter order, each swap two
-lookups in its `core.half_tables` over the halves of the mask.
-The table is 64 KB at n = 6 and 4 MB at n = 7; on CPython 3.11 it fills in
-about 0.015-0.025 s at n = 6 and 1.2-1.5 s at n = 7.  At n = 8 it would be
-512 MB, kept until the process ends, and the labeled loop over 2^28 masks is
-impractical anyway; that wants canonical augmentation.
+and its complement's are tested, and its index goes into every relabeling
+of the mask (orbit marking, Read, "Every one a winner", 1978), the index ^ 1
+into the complement's.  `_orbit` meets each relabeling once, as the closure
+of the mask under the swap of labels 0 and 1 and the cycle i -> i + 1 mod n,
+which generate them all; each map is two lookups in its `core.half_tables`
+over the halves of the mask.  `canonical_form` takes the least relabeling.
+The table is 64 KB at n = 6 and 4 MB at n = 7; on CPython 3.11 the tables
+for n = 1..6 fill in about 0.012 s and those for n = 1..7 in 0.5-0.6 s.
+At n = 8 it would be 512 MB, kept until the process ends, and the labeled
+loop over 2^28 masks is impractical anyway; that wants canonical augmentation.
 
 `_dealt` decides which masks a spec deals; `enumerate_graphs` and
 `census_lines` only render them.  `itertools.compress` keeps the masks whose
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
@@ -96,61 +97,51 @@ class EnumerationSpec(_EnumerationFields):
 
 
 @lru_cache(maxsize=None)
-def _plain_changes(n: int) -> tuple[int, ...]:
-    """Steinhaus-Johnson-Trotter: swapping labels i, i + 1 for each i in turn
-    walks through all n! relabelings, each once."""
-    if n <= 1:
-        return ()
-    sub = _plain_changes(n - 1)
-    out: list[int] = []
-    for k in range(len(sub) + 1):
-        # label n - 1 sweeps down and back up between the moves of the rest
-        out.extend(range(n - 2, -1, -1) if k % 2 == 0 else range(n - 1))
-        if k < len(sub):
-            out.append(sub[k] + (k % 2 == 0))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _relabel_steps(n: int) -> tuple[int, tuple[tuple[list[int], list[int]], ...]]:
-    """(split, steps) walking an edge mask through its n! relabelings in
-    _plain_changes order.  Each step swaps two labels through the
-    `core.half_tables` of the swap's map on pair bits:
+def _generators(n: int) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """(split, [(low, high)]) for the swap of labels 0 and 1 and the cycle
+    i -> i + 1 mod n, which together generate every relabeling.  Each maps an
+    edge mask through its `core.half_tables` on pair bits:
     mask -> low[mask & (1 << split) - 1] | high[mask >> split]."""
     pairs = pair_table(n)
     index = {pair: k for k, pair in enumerate(pairs)}
-    split, tables = 0, []  # n <= 1 has no swaps, so no split is read
-    for i in range(n - 1):
-        swap = {i: i + 1, i + 1: i}
-        images = [1 << index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs]
+    tables = []
+    for label in ([1, 0, *range(2, n)], [*range(1, n), 0]):  # n < 2 has no pairs to read them
+        images = [1 << index[tuple(sorted((label[u], label[v])))] for u, v in pairs]
         split, low, high = half_tables(images, 0)
         tables.append((low, high))
-    return split, tuple(tables[i] for i in _plain_changes(n))
+    return split, tables
 
 
-def _relabelings(mask: int, n: int) -> list[int]:
-    """The edge mask remapped by each of the n! permutations of range(n)."""
-    split, steps = _relabel_steps(n)
+def _orbit(mask: int, n: int, marks: array | dict[int, int], c: int) -> list[int]:
+    """The edge mask's images under every relabeling, each once: its closure
+    under the two `_generators`.  Sets marks[r] = c on each image r as it is
+    met, so no image may carry c before the walk."""
+    split, ((swap_low, swap_high), (cycle_low, cycle_high)) = _generators(n)
     low_bits = (1 << split) - 1
-    out = [mask]
-    append = out.append
-    for low, high in steps:
-        mask = low[mask & low_bits] | high[mask >> split]
-        append(mask)
-    return out
+    marks[mask] = c
+    orbit = [mask]
+    append = orbit.append
+    for r in orbit:  # grows while it is walked
+        low, high = r & low_bits, r >> split
+        for image in (swap_low[low] | swap_high[high], cycle_low[low] | cycle_high[high]):
+            if marks[image] != c:
+                marks[image] = c
+                append(image)
+    return orbit
 
 
 @lru_cache(maxsize=None)
 def _class_table(n: int) -> tuple[array, list[bool]]:
     """n's class table, one class index per labeled mask, and per class index
     whether the class is connected.  The first mask whose slot is still 0
-    gets a new even index c, written over its relabelings, and c ^ 1 over
-    its complement's unless the class is self-complementary.  Indices go two
-    per complementary pair of classes, from 2: at n = 8, 6,178 pairs (12,346
-    classes, 10 self-complementary) keep them below 12,358, in 16 bits.
-    Built once per order per process and shared by every caller: read both,
-    never write them.  The flags are a list, not a tuple, because `_dealt`
-    maps `list.__getitem__` over the table about 1.5x as fast."""
+    gets a new even index c, which `_orbit` writes over its relabelings, and
+    c ^ 1 goes over its complement's unless that walk marked the complement
+    too (a self-complementary class).  Indices go two per complementary pair
+    of classes, from 2: at n = 8, 6,178 pairs (12,346 classes, 10
+    self-complementary) keep them below 12,358, in 16 bits.  Built once per
+    order per process and shared by every caller: read both, never write
+    them.  The flags are a list, not a tuple, because `_dealt` maps
+    `list.__getitem__` over the table about 1.5x as fast."""
     full = (1 << len(pair_table(n))) - 1
     classes = array("H", [0]) * (full + 2)  # the slot past the last mask ends the search
     connected = [False, False]  # indices 0 and 1 mark no mask
@@ -158,10 +149,10 @@ def _class_table(n: int) -> tuple[array, list[bool]]:
     while (mask := classes.index(0, mask)) <= full:  # a search in C
         c = len(connected)
         connected += (is_connected(Graph._from_mask(n, m)) for m in (mask, full ^ mask))
-        orbit = _relabelings(mask, n)
-        paired = c if full ^ mask in orbit else c + 1  # c if self-complementary
-        for r in orbit:
-            classes[r], classes[full ^ r] = c, paired
+        orbit = _orbit(mask, n, classes, c)
+        if classes[full ^ mask] != c:  # else the class is self-complementary
+            for r in orbit:
+                classes[full ^ r] = c + 1
     classes.pop()
     return classes, connected
 
@@ -200,10 +191,10 @@ def canonical_form(g: Graph) -> int:
     """Minimum edge mask over all vertex relabelings; comparable within one n."""
     if g.n > MAX_ENUM_VERTICES:
         raise SizeLimitError(
-            f"canonical forms are computed by permutation search, capped at n <= {MAX_ENUM_VERTICES}"
+            f"canonical forms are computed by an orbit walk, capped at n <= {MAX_ENUM_VERTICES}"
         )
     pairs = pair_table(g.n)
-    return min(_relabelings(sum(1 << pairs.index(e) for e in g.edges), g.n))
+    return min(_orbit(sum(1 << pairs.index(e) for e in g.edges), g.n, defaultdict(int), 1))
 
 
 class BoundCheck(NamedTuple):

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -26,7 +27,7 @@ from locdom import (
     report_lines,
     twin_report,
 )
-from locdom.verify import _class_table, _dealt, _relabelings, census_lines
+from locdom.verify import _class_table, _dealt, _orbit, census_lines
 from conftest import class_reps, nx_isomorphic, random_graph
 
 # labeled graph counts on n vertices: all, and connected
@@ -160,19 +161,30 @@ def test_dedup_keeps_first_mask_per_class():
                         assert census.to_json() == per_graph.to_json(), (theorem, dedup)
 
 
-def test_relabelings_walk_every_permutation_once():
-    # n = 7 splits its 21 slots unevenly between the two step tables
+def test_orbit_meets_every_relabeling_once():
+    # n = 7 splits its 21 slots unevenly between the two halves of each table
     rng = random.Random(7)
     for n in range(0, 8):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for _ in range(5):
             mask = rng.getrandbits(len(pairs))
             edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
-            want = sorted(
+            want = sorted({
                 sum(1 << pairs.index(tuple(sorted((perm[u], perm[v])))) for u, v in edges)
                 for perm in permutations(range(n))
-            )
-            assert sorted(_relabelings(mask, n)) == want
+            })
+            assert sorted(_orbit(mask, n, defaultdict(int), 1)) == want
+
+
+def test_class_table_counts_at_seven_vertices():
+    # OEIS A000088 (1,044 classes), A001349 (853 connected) and A000171 (no
+    # self-complementary class), read off one member per class
+    classes, connected = _class_table(7)
+    member = dict(zip(classes, range(len(classes))))
+    assert len(member) == len(connected) - 2 == 1044
+    assert sum(connected[c] for c in member) == 853
+    full = len(classes) - 1
+    assert not any(classes[full ^ m] == c for c, m in member.items())
 
 
 def test_canonical_form_is_the_least_relabeling_at_eight_vertices():
