@@ -19,10 +19,11 @@ At n = 8 it would be 512 MB, kept until the process ends, and the labeled
 loop over 2^28 masks is impractical anyway; that wants canonical augmentation.
 
 `_dealt` decides which masks a spec deals; `enumerate_graphs` and
-`census_lines` only render them.  `itertools.compress` keeps the masks whose
-class passes the connectivity filter and `islice` deals them round-robin to
-shards, both in C; isomorphism dedup (off by default) then keeps the first
-mask of each class within the shard.  Shards in one process share the
+`census_lines` only render them.  It deals every labeled mask, or under
+isomorphism dedup (off by default) each class's least mask, which the fill
+records.  `itertools.compress` keeps the masks whose class passes the
+connectivity filter and `islice` deals them round-robin to shards, both in
+C, so dedup shards partition the classes.  Shards in one process share the
 table; each shard process still fills the whole table.
 `census_lines`, which `locdom verify` runs, solves each class once and
 renders the class's line after graph6 then.  A later member costs one
@@ -73,10 +74,10 @@ class _EnumerationFields(NamedTuple):
 
 
 class EnumerationSpec(_EnumerationFields):
-    """What to enumerate: order, connectivity filter, dedup, shard.
-
-    Checked however one is built: the constructor and `_replace` both go
-    through `_make`, which raises on a bad order or shard."""
+    """What to enumerate: order, connectivity filter, dedup (shards then deal
+    classes, not masks), shard.  Checked however one is built: the constructor
+    and `_replace` both go through `_make`, which raises a `LocdomError` on an
+    order or shard entry that is not an integer in range."""
 
     __slots__ = ()
 
@@ -86,11 +87,13 @@ class EnumerationSpec(_EnumerationFields):
     @classmethod
     def _make(cls, fields: Iterable) -> EnumerationSpec:
         spec = super()._make(fields)
+        index, total = spec.shard
+        if not all(isinstance(k, int) for k in (spec.n, index, total)):
+            raise LocdomError(f"order and shard must be integers, got {spec.n}, {spec.shard}")
         if not 0 <= spec.n <= MAX_ENUM_VERTICES:
             raise SizeLimitError(
                 f"exhaustive enumeration supports 0 <= n <= {MAX_ENUM_VERTICES}, got {spec.n}"
             )
-        index, total = spec.shard
         if total < 1 or not 0 <= index < total:
             raise LocdomError(f"bad shard {spec.shard}: need 0 <= index < total")
         return spec
@@ -131,54 +134,50 @@ def _orbit(mask: int, n: int, marks: array | dict[int, int], c: int) -> list[int
 
 
 @lru_cache(maxsize=None)
-def _class_table(n: int) -> tuple[array, list[bool]]:
-    """n's class table, one class index per labeled mask, and per class index
-    whether the class is connected.  The first mask whose slot is still 0
-    gets a new even index c, which `_orbit` writes over its relabelings, and
-    c ^ 1 goes over its complement's unless that walk marked the complement
-    too (a self-complementary class).  Indices go two per complementary pair
-    of classes, from 2: at n = 8, 6,178 pairs (12,346 classes, 10
-    self-complementary) keep them below 12,358, in 16 bits.  Built once per
-    order per process and shared by every caller: read both, never write
-    them.  The flags are a list, not a tuple, because `_dealt` maps
-    `list.__getitem__` over the table about 1.5x as fast."""
+def _class_table(n: int) -> tuple[array, list[bool], list[int]]:
+    """n's class table (a class index per labeled mask), whether each class
+    index is connected, and the classes' least masks, sorted.  The first mask
+    whose slot is still 0 is its class's least: it gets a new even index c,
+    which `_orbit` writes over its relabelings, and c ^ 1 over their
+    complements, whose least is full ^ max(orbit), unless the walk marked
+    them too (a self-complementary class).  Two indices per complementary
+    pair from 2: at n = 8, 6,178 pairs (12,346 classes, 10 self-complementary)
+    keep them below 12,358, in 16 bits.  Built once per order per process and
+    shared: read all three, never write them.  The flags are a list, not a
+    tuple, as `_dealt` maps `list.__getitem__` over the table 1.5x as fast."""
     full = (1 << len(pair_table(n))) - 1
     classes = array("H", [0]) * (full + 2)  # the slot past the last mask ends the search
     connected = [False, False]  # indices 0 and 1 mark no mask
+    least = []
     mask = 0
     while (mask := classes.index(0, mask)) <= full:  # a search in C
         c = len(connected)
         connected += (is_connected(Graph._from_mask(n, m)) for m in (mask, full ^ mask))
         orbit = _orbit(mask, n, classes, c)
+        least.append(mask)
         if classes[full ^ mask] != c:  # else the class is self-complementary
+            least.append(full ^ max(orbit))
             for r in orbit:
                 classes[full ^ r] = c + 1
     classes.pop()
-    return classes, connected
+    least.sort()
+    return classes, connected, least
 
 
 def _dealt(spec: EnumerationSpec) -> tuple[array, int, Iterator[int]]:
     """spec.n's shared class table (`_class_table`, read only), the number of
-    class indices, and the masks spec deals, in increasing order.  Shard (i, t)
-    keeps positions i, i + t, i + 2t, ... of the masks whose class passes the
-    connectivity filter, so t shards partition the unsharded stream and differ
-    in size by at most one.  Dedup then keeps the first mask of each class
-    within the shard, so dedup shards need not partition the classes."""
-    classes, connected = _class_table(spec.n)
-    masks = range(len(classes))
-    if spec.connected_only:
-        masks = compress(masks, map(connected.__getitem__, classes))
-    masks = islice(masks, spec.shard[0], None, spec.shard[1])
+    class indices, and the masks spec deals, in increasing order: every
+    labeled mask, or under dedup each class's least mask.  Shard (i, t)
+    keeps positions i, i + t, i + 2t, ... of those whose class passes the
+    connectivity filter, so t shards partition the unsharded stream (under
+    dedup, its classes) and differ in size by at most one."""
+    classes, connected, least = _class_table(spec.n)
+    masks, of = range(len(classes)), classes  # each mask, and its class
     if spec.dedup_isomorphic:
-        masks = _first_of_each_class(masks, classes, [True] * len(connected))
-    return classes, len(connected), masks
-
-
-def _first_of_each_class(masks: Iterator[int], classes: array, unseen: list[bool]) -> Iterator[int]:
-    for mask in masks:
-        if unseen[classes[mask]]:
-            unseen[classes[mask]] = False
-            yield mask
+        masks, of = least, map(classes.__getitem__, least)
+    if spec.connected_only:
+        masks = compress(masks, map(connected.__getitem__, of))
+    return classes, len(connected), islice(masks, spec.shard[0], None, spec.shard[1])
 
 
 def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:

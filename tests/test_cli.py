@@ -476,19 +476,34 @@ def test_verify_output_of_every_theorem_is_pinned(tmp_path, capsys, monkeypatch)
 PINNED_WELD_HALF_6 = "83c136f3c9070a1c13220159924b8ec7df9938984884bc05afb8445b2a236e15"
 
 
-def test_verify_repeats_in_one_process_are_identical(capsys, monkeypatch):
+# Three censuses in one process; prints each one's exit code and stdout hash,
+# then how many class tables the process built.
+REPEAT_SCRIPT = """
+import contextlib, hashlib, io, json
+from locdom import verify
+from locdom.cli import main
+runs = []
+for theorem in ("weld_half", "obs1", "weld_half"):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main(["verify", "--theorem", theorem, "--max-n", "6"])
+    runs.append([rc, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps([runs, verify._class_table.cache_info().misses]))
+"""
+
+
+def test_verify_repeats_in_one_process_are_identical():
     # Several censuses in one process, as the benchmark's census runs them:
     # the first builds each order's class table, and later ones, another
     # theorem between them, read the same tables and write the same bytes.
-    verify._class_table.cache_clear()
-    runs = [
-        run_cli(capsys, monkeypatch, ["verify", "--theorem", theorem, "--max-n", "6"])
-        for theorem in ("weld_half", "obs1", "weld_half")
-    ]
-    assert [rc for rc, _, _ in runs] == [0, 0, 0]
-    assert runs[2][1] == runs[0][1]
-    assert hashlib.sha256(runs[0][1].encode()).hexdigest() == PINNED_WELD_HALF_6
-    assert verify._class_table.cache_info().misses == 6  # orders 1..6, once each
+    # A fresh interpreter starts with no table, and this one keeps its own.
+    proc = subprocess.run(
+        [sys.executable, "-c", REPEAT_SCRIPT], capture_output=True, env=CLI_ENV, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs, misses = json.loads(proc.stdout)
+    assert [rc for rc, _ in runs] == [0, 0, 0]
+    assert runs[2][1] == runs[0][1] == PINNED_WELD_HALF_6
+    assert misses == 6  # orders 1..6, once each
 
 
 PINNED_TWINS = "c701c09ad56c3b1b7ddfd01017d337d0c4f5a92b6c1d0f4b2282c0c5120d16cd"

@@ -41,18 +41,20 @@ SELF_COMPLEMENTARY = {1: 1, 2: 0, 3: 0, 4: 1, 5: 2, 6: 0}
 
 
 def test_spec_validation():
-    # bad input raises however a spec is built: positional, keyword, _replace or _make
+    # bad input raises however a spec is built: positional, keyword, _replace
+    # or _make; a non-integer order or shard entry is bad input too
     spec = EnumerationSpec(4)
-    for bad_n in (9, -1):
+    bad_orders = ((9, SizeLimitError), (-1, SizeLimitError), (3.5, LocdomError), ("4", LocdomError))
+    for bad_n, error in bad_orders:
         for build in (
             lambda: EnumerationSpec(bad_n),
             lambda: EnumerationSpec(n=bad_n),
             lambda: spec._replace(n=bad_n),
             lambda: EnumerationSpec._make((bad_n, True, False, (0, 1))),
         ):
-            with pytest.raises(SizeLimitError):
+            with pytest.raises(error):
                 build()
-    for bad_shard in ((2, 2), (0, 0), (-1, 3)):
+    for bad_shard in ((2, 2), (0, 0), (-1, 3), (0, 1.5), (1.0, 2)):
         for build in (
             lambda: EnumerationSpec(4, True, False, bad_shard),
             lambda: EnumerationSpec(n=4, shard=bad_shard),
@@ -141,24 +143,35 @@ def _first_per_class(graphs):
             yield g
 
 
-def test_dedup_keeps_first_mask_per_class():
-    # canonical_form is the slow oracle for the dedup in _dealt, and the
-    # per-graph stream over the dedup spec the oracle for the census over it
+def test_dedup_shards_partition_the_classes():
+    # canonical_form is the slow oracle for the unsharded dedup in _dealt;
+    # shard i of t deals every t-th class of it from the i-th, so the shards
+    # partition the classes.  The per-graph stream over each dedup shard is
+    # the oracle for the census over it, and the shard summaries add up to
+    # the unsharded one.
     for n in range(0, 6):
         for connected_only in (True, False):
-            for total in (1, 2, 3):
-                for i in range(total):
-                    spec = EnumerationSpec(n, connected_only, shard=(i, total))
-                    dedup = EnumerationSpec(n, connected_only, True, (i, total))
-                    want = [g.edges for g in _first_per_class(enumerate_graphs(spec))]
-                    assert [g.edges for g in enumerate_graphs(dedup)] == want
-                    for theorem in THEOREMS:
+            spec = EnumerationSpec(n, connected_only)
+            want = [g.edges for g in _first_per_class(enumerate_graphs(spec))]
+            for theorem in THEOREMS:
+                totals = []
+                for total in (1, 2, 3, 4):
+                    added = TheoremSummary(theorem)
+                    for i in range(total):
+                        dedup = EnumerationSpec(n, connected_only, True, (i, total))
+                        assert [g.edges for g in enumerate_graphs(dedup)] == want[i::total]
                         census, per_graph = TheoremSummary(theorem), TheoremSummary(theorem)
                         reports = iter_reports(enumerate_graphs(dedup), theorem, per_graph)
                         want_lines = "".join(line + "\n" for line in report_lines(reports))
                         lines = "".join(census_lines([dedup], theorem, census))
                         assert lines == want_lines, (theorem, dedup)
                         assert census.to_json() == per_graph.to_json(), (theorem, dedup)
+                        added.checked += census.checked
+                        added.skipped += census.skipped
+                        added.violations += census.violations
+                    added.violations.sort()
+                    totals.append(added.to_json())
+                assert totals == totals[:1] * 4, (theorem, n, connected_only)
 
 
 def test_orbit_meets_every_relabeling_once():
@@ -178,13 +191,12 @@ def test_orbit_meets_every_relabeling_once():
 
 def test_class_table_counts_at_seven_vertices():
     # OEIS A000088 (1,044 classes), A001349 (853 connected) and A000171 (no
-    # self-complementary class), read off one member per class
-    classes, connected = _class_table(7)
-    member = dict(zip(classes, range(len(classes))))
-    assert len(member) == len(connected) - 2 == 1044
-    assert sum(connected[c] for c in member) == 853
+    # self-complementary class), read off the table's least mask per class
+    classes, connected, least = _class_table(7)
+    assert len({classes[m] for m in least}) == len(least) == len(connected) - 2 == 1044
+    assert sum(connected[classes[m]] for m in least) == 853
     full = len(classes) - 1
-    assert not any(classes[full ^ m] == c for c, m in member.items())
+    assert not any(classes[full ^ m] == classes[m] for m in least)
 
 
 def test_canonical_form_is_the_least_relabeling_at_eight_vertices():
@@ -236,6 +248,8 @@ def test_complement_classes_pair_by_xor():
             else:
                 assert class_of[full ^ mask] == c ^ 1, (n, mask)
         assert len(self_complementary) == SELF_COMPLEMENTARY[n]
+        # the first mask met per class is its least, which the fill records
+        assert sorted(member.values()) == _class_table(n)[2]
         # a self-complementary class keeps its own index, and c ^ 1 marks no mask
         assert not {c ^ 1 for c in self_complementary} & set(table)
         for c, mask in member.items():
