@@ -31,19 +31,21 @@ table read for its class, two for its graph6 (in `codec.graph6_halves`),
 one `to_bytes`, three reads and a count in per-class lists, and one string
 concatenation; no Graph or BoundReport is built for it.  Reusing verdicts
 is sound only because the verdict of every registered theorem (n, m, skip
-reason, value, bound and holds) is an isomorphism invariant; a theorem
-added here must keep it so.
+reason, value, bound and holds) is an isomorphism invariant.  The values
+are by construction; a precondition added here must be one too.
 
 Every registered theorem has one shape, so `_THEOREMS` declares each as
-one row: under ordered preconditions (each a skip reason and the test that
-fails a graph), a value -- solve_min on G or on L(G), or the number of
-check_observation1 violations -- is at most a fixed share of n or of m, or
-equal to it.  `check_graph` evaluates a row on one graph and gives one
-record: a skip naming the first failed precondition, or one
-value/bound/holds check.  Violations are data, not exceptions.  A violation
-of any registered bound would falsify published mathematics, so the
-harness treats them as reportable events and the callers decide how
-loudly to fail.
+one row of data: under ordered preconditions (each a skip reason and the
+test that fails a graph), a value -- a solve_min parameter of G, or the
+number of check_observation1 violations -- is at most a fixed share of
+the parameter's ground (m for an edge parameter, else n), or equal to it.
+The line-graph corollaries read eld and eltd of G, which are ld and ltd
+of L(G) (see `linegraph`), so no L(G) is built.  `check_graph` evaluates
+a row on one graph and gives one record: a skip naming the first failed
+precondition, or one value/bound/holds check.  Violations are data, not
+exceptions.  A violation of any registered bound would falsify published
+mathematics, so the harness treats them as reportable events and the
+callers decide how loudly to fail.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .codec import graph6_halves, report_tail, write_graph6
 from .core import Graph, half_tables, is_connected, pair_table
 from .errors import LocdomError, SizeLimitError
-from .linegraph import line_graph
-from .solvers import solve_min
+from .solvers import Parameter, solve_min
 from .twins import check_observation1, is_edge_twin_free
 
 MAX_ENUM_VERTICES = 8
@@ -76,8 +77,9 @@ class _EnumerationFields(NamedTuple):
 class EnumerationSpec(_EnumerationFields):
     """What to enumerate: order, connectivity filter, dedup (shards then deal
     classes, not masks), shard.  Checked however one is built: the constructor
-    and `_replace` both go through `_make`, which raises a `LocdomError` on an
-    order or shard entry that is not an integer in range."""
+    and `_replace` both go through `_make`, which raises a `LocdomError` on a
+    shard that is not a pair, or an order or shard entry that is not an
+    integer in range."""
 
     __slots__ = ()
 
@@ -87,7 +89,10 @@ class EnumerationSpec(_EnumerationFields):
     @classmethod
     def _make(cls, fields: Iterable) -> EnumerationSpec:
         spec = super()._make(fields)
-        index, total = spec.shard
+        try:
+            index, total = spec.shard
+        except (TypeError, ValueError):
+            raise LocdomError(f"shard must be a pair (index, total), got {spec.shard!r}") from None
         if not all(isinstance(k, int) for k in (spec.n, index, total)):
             raise LocdomError(f"order and shard must be integers, got {spec.n}, {spec.shard}")
         if not 0 <= spec.n <= MAX_ENUM_VERTICES:
@@ -218,8 +223,8 @@ class BoundReport(NamedTuple):
         return () if self.check is None else (self.check,)
 
 
-# A precondition is (skip reason, test that fails the graph).  Tests and
-# values look solve_min, line_graph and the scans up in this module's
+# A precondition is (skip reason, test that fails a graph).  Precondition
+# tests and check_graph look solve_min and the scans up in this module's
 # globals on every call, so wrappers installed from outside see them.
 _ISOLATED_EDGE = ("isolated_edge", lambda g: 0 in g.eadj)
 _EDGE_TWINS = ("not_edge_twin_free", lambda g: not is_edge_twin_free(g))
@@ -229,51 +234,41 @@ _DISCONNECTED = ("disconnected", lambda g: not is_connected(g))
 _EDGE_TWIN_FREE = (_ISOLATED_EDGE, _EDGE_TWINS)
 
 
-def _solve(g: Graph, parameter: str) -> int:
-    return solve_min(g, parameter).value
-
-
-def _solve_line(g: Graph, parameter: str) -> int:
-    return solve_min(line_graph(g).line, parameter).value
-
-
 class _Theorem(NamedTuple):
-    """value(g, parameter) <= share * (m if of_edges else n), or == when exact,
-    on every graph that passes the preconditions in order."""
+    """value <= share * ground, or == when exact, on every graph that passes
+    the preconditions in order: value is solve_min(g, parameter), reported
+    as name, or the number of check_observation1 violations when parameter
+    is None; ground is m for an edge parameter, otherwise n."""
 
     preconditions: tuple[tuple[str, Callable[[Graph], bool]], ...]
-    parameter: str
-    value: Callable[[Graph, str], int]
+    name: str
+    parameter: Parameter | None
     share: Fraction
-    of_edges: bool
     exact: bool = False
 
 
 _HALF, _TWO_THIRDS = Fraction(1, 2), Fraction(2, 3)
 
 _THEOREMS = {
-    "weld_half": _Theorem((_ISOLATED_EDGE,), "weld", _solve, _HALF, True),
-    "eld_half": _Theorem(_EDGE_TWIN_FREE, "eld", _solve, _HALF, True),
-    "eltd_two_thirds": _Theorem(_EDGE_TWIN_FREE, "eltd", _solve, _TWO_THIRDS, True),
-    # L(g) has m vertices
-    "cor_ld_line": _Theorem(_EDGE_TWIN_FREE, "ld", _solve_line, _HALF, True),
-    "cor_ltd_line": _Theorem(_EDGE_TWIN_FREE, "ltd", _solve_line, _TWO_THIRDS, True),
-    "obs1": _Theorem(
-        (_DISCONNECTED,), "obs1", lambda g, _: len(check_observation1(g)), Fraction(0), False
-    ),
+    "weld_half": _Theorem((_ISOLATED_EDGE,), "weld", Parameter("weld"), _HALF),
+    "eld_half": _Theorem(_EDGE_TWIN_FREE, "eld", Parameter("eld"), _HALF),
+    "eltd_two_thirds": _Theorem(_EDGE_TWIN_FREE, "eltd", Parameter("eltd"), _TWO_THIRDS),
+    # ld and ltd of L(g), whose m vertices are g's edges
+    "cor_ld_line": _Theorem(_EDGE_TWIN_FREE, "ld", Parameter("eld"), _HALF),
+    "cor_ltd_line": _Theorem(_EDGE_TWIN_FREE, "ltd", Parameter("eltd"), _TWO_THIRDS),
+    "obs1": _Theorem((_DISCONNECTED,), "obs1", None, Fraction(0)),
     # ore_half reports dom = 0 <= 0 on the empty graph; cockayne_two_thirds
     # needs order at least 3 and skips K1 and K2 under the reason naming them.
     "ore_half": _Theorem(
-        (("isolated_vertex", lambda g: 0 in g.vadj),),
-        "dom", _solve, _HALF, False,
+        (("isolated_vertex", lambda g: 0 in g.vadj),), "dom", Parameter("dom"), _HALF
     ),
     "cockayne_two_thirds": _Theorem(
         (_DISCONNECTED, ("isolated_vertex", lambda g: g.n <= 1), _ISOLATED_EDGE),
-        "tdom", _solve, _TWO_THIRDS, False,
+        "tdom", Parameter("tdom"), _TWO_THIRDS,
     ),
     "size6_eld3": _Theorem(
         (("size_mismatch", lambda g: g.m != 6), _DISCONNECTED, *_EDGE_TWIN_FREE),
-        "eld", _solve, _HALF, True, exact=True,
+        "eld", Parameter("eld"), _HALF, exact=True,
     ),
 }
 
@@ -295,10 +290,11 @@ def check_graph(g: Graph, theorem: str) -> BoundReport:
     skip = next((reason for reason, fails in row.preconditions if fails(g)), None)
     check = None
     if skip is None:
-        value = row.value(g, row.parameter)
-        bound = row.share * (g.m if row.of_edges else g.n)
+        param = row.parameter
+        value = len(check_observation1(g)) if param is None else solve_min(g, param).value
+        bound = row.share * (g.m if param is not None and param.on_edges else g.n)
         holds = value == bound if row.exact else value <= bound
-        check = BoundCheck(row.parameter, value, bound, holds)
+        check = BoundCheck(row.name, value, bound, holds)
     return BoundReport(write_graph6(g), g.n, g.m, check, skip)
 
 

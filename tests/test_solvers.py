@@ -441,26 +441,10 @@ def _family(g, param):
 
 def _reference_family(g, param):
     """The covers, in element order, and the set of inclusion-minimal
-    members of the covers and the separation masks, as bitmasks, from the
-    definitions.
-
-    Element i is dominated when D meets N[i] (N(i) for the total variants);
-    a and b are separated unless D misses a, b and every element adjacent to
-    just one of them.  The weak variant exempts edge-twin pairs.
-    """
-    ground = g.m if param.on_edges else g.n
-    nbrs = conftest.edge_nbrs if param.on_edges else conftest.nbrs
-    around = [frozenset(nbrs(g, i)) for i in range(ground)]
-    covers = [a if param.total else a | {i} for i, a in enumerate(around)]
-    members = set(covers)
-    if param.locating:
-        exempt = conftest.ref_edge_twin_pairs(g) if param is Parameter.WEAK_EDGE_LOC_DOM else set()
-        members |= {
-            around[a] ^ around[b] | {a, b}
-            for a, b in combinations(range(ground), 2)
-            if (a, b) not in exempt
-        }
-    return list(map(_as_mask, covers)), {
+    `_definition_rows`, as bitmasks."""
+    ground, rows = _definition_rows(g, param)
+    members = set(map(frozenset, rows))
+    return list(map(_as_mask, rows[:ground])), {
         _as_mask(s) for s in members if not any(t < s for t in members)
     }
 

@@ -42,7 +42,8 @@ SELF_COMPLEMENTARY = {1: 1, 2: 0, 3: 0, 4: 1, 5: 2, 6: 0}
 
 def test_spec_validation():
     # bad input raises however a spec is built: positional, keyword, _replace
-    # or _make; a non-integer order or shard entry is bad input too
+    # or _make; a non-integer order or shard entry, or a shard that is not a
+    # pair, is bad input too
     spec = EnumerationSpec(4)
     bad_orders = ((9, SizeLimitError), (-1, SizeLimitError), (3.5, LocdomError), ("4", LocdomError))
     for bad_n, error in bad_orders:
@@ -54,7 +55,7 @@ def test_spec_validation():
         ):
             with pytest.raises(error):
                 build()
-    for bad_shard in ((2, 2), (0, 0), (-1, 3), (0, 1.5), (1.0, 2)):
+    for bad_shard in ((2, 2), (0, 0), (-1, 3), (0, 1.5), (1.0, 2), 5, None, (0, 1, 2)):
         for build in (
             lambda: EnumerationSpec(4, True, False, bad_shard),
             lambda: EnumerationSpec(n=4, shard=bad_shard),
