@@ -154,7 +154,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             EnumerationSpec(n, not args.include_disconnected, shard=args.shard or (0, 1))
             for n in range(1, (args.max_n or 6) + 1)
         ]
-        sys.stdout.writelines(census_lines(specs, args.theorem, summary))
+        sys.stdout.writelines(census_lines(specs, summary))
     sys.stdout.write(summary.to_json() + "\n")
     return 3 if summary.violations else 0
 

@@ -25,14 +25,16 @@ records.  `itertools.compress` keeps the masks whose class passes the
 connectivity filter and `islice` deals them round-robin to shards, both in
 C, so dedup shards partition the classes.  Shards in one process share the
 table; each shard process still fills the whole table.
-`census_lines`, which `locdom verify` runs, solves each class once and
-renders the class's line after graph6 then.  A later member costs one
-table read for its class, two for its graph6 (in `codec.graph6_halves`),
-one `to_bytes`, three reads and a count in per-class lists, and one string
-concatenation; no Graph or BoundReport is built for it.  Reusing verdicts
-is sound only because the verdict of every registered theorem (n, m, skip
-reason, value, bound and holds) is an isomorphism invariant.  The values
-are by construction; a precondition added here must be one too.
+`census_lines`, which `locdom verify` runs, solves each class once and, if
+the verdict holds or skips, keeps it with the class's line after graph6.
+A later member then costs one table read for its class, two for its graph6
+(in `codec.graph6_halves`), one `to_bytes`, two reads and a count in
+per-class lists, and one string concatenation; no Graph or BoundReport is
+built for it.  This is sound only because every registered theorem's verdict
+(n, m, skip reason, value, bound and holds) is an isomorphism invariant; a
+precondition added here must be one too.  A failing verdict is never kept:
+a violation stands on its own check, so a counterexample class costs one
+solve per member.
 
 Every registered theorem has one shape, so `_THEOREMS` declares each as
 one row of data: under ordered preconditions (each a skip reason and the
@@ -79,7 +81,7 @@ class EnumerationSpec(_EnumerationFields):
     classes, not masks), shard.  Checked however one is built: the constructor
     and `_replace` both go through `_make`, which raises a `LocdomError` on a
     shard that is not a pair, or an order or shard entry that is not an
-    integer in range."""
+    integer in range, and stores the shard as a tuple, so a spec hashes."""
 
     __slots__ = ()
 
@@ -101,7 +103,7 @@ class EnumerationSpec(_EnumerationFields):
             )
         if total < 1 or not 0 <= index < total:
             raise LocdomError(f"bad shard {spec.shard}: need 0 <= index < total")
-        return spec
+        return super()._make((*spec[:3], (index, total)))
 
 
 @lru_cache(maxsize=None)
@@ -299,7 +301,7 @@ def check_graph(g: Graph, theorem: str) -> BoundReport:
 
 
 class TheoremSummary:
-    """Running counters for one verification pass."""
+    """Running counters for one verification pass, written only by `add`."""
 
     def __init__(self, theorem: str) -> None:
         self.theorem = theorem
@@ -307,11 +309,13 @@ class TheoremSummary:
         self.skipped: Counter = Counter()
         self.violations: list[str] = []
 
-    def add(self, report: BoundReport) -> None:
+    def add(self, report: BoundReport, members: int = 1) -> None:
+        """Count report's verdict for `members` graphs that share it; a
+        violation lists report.graph6 once, so add failing reports singly."""
         if report.skipped_reason is not None:
-            self.skipped[report.skipped_reason] += 1
+            self.skipped[report.skipped_reason] += members
             return
-        self.checked += 1
+        self.checked += members
         if not report.check.holds:
             self.violations.append(report.graph6)
 
@@ -337,16 +341,13 @@ def iter_reports(
         yield report
 
 
-def census_lines(
-    specs: Iterable[EnumerationSpec], theorem: str, summary: TheoremSummary
-) -> Iterator[str]:
-    """The lines of report_lines(iter_reports(...)) over enumerate_graphs(spec)
-    for each spec in turn, each ending in a newline, with summary fed too.
-
-    check_graph runs on each class's first member, and the class's line after
-    graph6 is rendered then; see the module docstring for what a later member
-    costs.  Member counts reach summary when each spec ends, and violating
-    members' graph6 as they stream.
+def census_lines(specs: Iterable[EnumerationSpec], summary: TheoremSummary) -> Iterator[str]:
+    """The lines of report_lines(iter_reports(...)) for summary.theorem over
+    enumerate_graphs(spec) for each spec in turn, each ending in a newline,
+    with summary fed too.  Each class's first member is checked; see the
+    module docstring for which verdicts are kept and what a later member
+    costs.  A kept verdict reaches summary once per spec, for all of its
+    members, and a failing member's as it streams.
     """
     for spec in specs:
         n = spec.n
@@ -355,22 +356,20 @@ def census_lines(
         low_bits = (1 << split) - 1
         reports: dict[int, BoundReport] = {}
         tails: list[str | None] = [None] * count
-        members, failing = [0] * count, [False] * count
+        members = [0] * count
         for mask in masks:
             c = classes[mask]
             tail = tails[c]
             if tail is None:
-                report = reports[c] = check_graph(Graph._from_mask(n, mask), theorem)
-                tail = tails[c] = '"' + report_tail(report) + "\n"
-                failing[c] = report.check is not None and not report.check.holds
+                report = check_graph(Graph._from_mask(n, mask), summary.theorem)
+                tail = '"' + report_tail(report) + "\n"
+                if report.check is None or report.check.holds:
+                    reports[c], tails[c] = report, tail
+                else:
+                    summary.add(report)
             members[c] += 1
             g6 = (low[mask & low_bits] + high[mask >> split]).to_bytes(size, "big").decode("ascii")
-            if failing[c]:
-                summary.violations.append(g6)
             # graph6 bytes lie in 63..126, where JSON escapes only the backslash
             yield '{"graph6": "' + g6.replace("\\", "\\\\") + tail
         for c, report in reports.items():
-            if report.skipped_reason is None:
-                summary.checked += members[c]
-            else:
-                summary.skipped[report.skipped_reason] += members[c]
+            summary.add(report, members[c])

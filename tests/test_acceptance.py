@@ -62,7 +62,7 @@ def _run_theorem(theorem: str):
     """The census stream and summary of `locdom verify --max-n 6`, without the
     summary line."""
     summary = TheoremSummary(theorem)
-    return "".join(census_lines(SWEEP_SPECS, theorem, summary)), summary
+    return "".join(census_lines(SWEEP_SPECS, summary)), summary
 
 
 def _trees(n: int) -> list[Graph]:

@@ -407,20 +407,40 @@ def test_verify_shards_partition(capsys, monkeypatch):
 @pytest.mark.parametrize("theorem", THEOREMS)
 def test_verify_enumeration_matches_per_graph_reports(theorem, capsys, monkeypatch):
     # The CLI solves each isomorphism class once; the per-graph path is the oracle.
-    for disconnected in (False, True):
-        for shard in ((0, 1), (0, 3), (1, 3), (2, 3)):
-            argv = ["verify", "--theorem", theorem, "--max-n", "5", "--shard", "%d/%d" % shard]
-            if disconnected:
-                argv.append("--include-disconnected")
-            rc, out, _ = run_cli(capsys, monkeypatch, argv)
-            summary = TheoremSummary(theorem)
-            graphs = chain.from_iterable(
-                enumerate_graphs(EnumerationSpec(n, not disconnected, shard=shard))
-                for n in range(1, 6)
-            )
-            want = [*report_lines(iter_reports(graphs, theorem, summary)), summary.to_json()]
-            assert out == "".join(line + "\n" for line in want), (theorem, disconnected, shard)
-            assert rc == 0
+    # The second pass fails every checked graph with m = 3, a set closed under
+    # isomorphism, so the census must check each member of a failing class on
+    # its own: its violations are the stream's m = 3 checks, in stream order.
+    real_check = verify.check_graph
+
+    def fail_size_three(g, theorem):
+        report = real_check(g, theorem)
+        if g.m == 3 and report.check is not None:
+            return report._replace(check=report.check._replace(holds=False))
+        return report
+
+    for check in (real_check, fail_size_three):
+        monkeypatch.setattr("locdom.verify.check_graph", check)
+        for disconnected in (False, True):
+            for shard in ((0, 1), (0, 3), (1, 3), (2, 3)):
+                argv = ["verify", "--theorem", theorem, "--max-n", "5", "--shard", "%d/%d" % shard]
+                if disconnected:
+                    argv.append("--include-disconnected")
+                rc, out, _ = run_cli(capsys, monkeypatch, argv)
+                summary = TheoremSummary(theorem)
+                graphs = chain.from_iterable(
+                    enumerate_graphs(EnumerationSpec(n, not disconnected, shard=shard))
+                    for n in range(1, 6)
+                )
+                want = [*report_lines(iter_reports(graphs, theorem, summary)), summary.to_json()]
+                case = (theorem, check.__name__, disconnected, shard)
+                assert out == "".join(line + "\n" for line in want), case
+                *records, census = map(json.loads, out.splitlines())
+                failing = [
+                    r["graph6"] for r in records
+                    if check is fail_size_three and r["m"] == 3 and "param" in r
+                ]
+                assert census["violations"] == failing, case
+                assert rc == (3 if failing else 0), case
 
 
 def test_verify_usage_errors(tmp_path, capsys, monkeypatch):

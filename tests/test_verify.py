@@ -70,6 +70,16 @@ def test_spec_validation():
     assert good == spec._replace(n=5, connected_only=False, dedup_isomorphic=True, shard=(1, 3))
     assert good == EnumerationSpec._make(good) == pickle.loads(pickle.dumps(good))
     assert type(spec._replace(n=5)) is EnumerationSpec
+    # a list shard is stored as the tuple, so the spec is equal and hashes
+    for listed in (
+        EnumerationSpec(5, False, True, [1, 3]),
+        EnumerationSpec(n=5, connected_only=False, dedup_isomorphic=True, shard=[1, 3]),
+        spec._replace(n=5, connected_only=False, dedup_isomorphic=True, shard=[1, 3]),
+        EnumerationSpec._make((5, False, True, [1, 3])),
+    ):
+        assert listed == good and hash(listed) == hash(good)
+        assert type(listed.shard) is tuple
+        assert pickle.loads(pickle.dumps(listed)) == good
 
 
 def test_labeled_counts():
@@ -164,7 +174,7 @@ def test_dedup_shards_partition_the_classes():
                         census, per_graph = TheoremSummary(theorem), TheoremSummary(theorem)
                         reports = iter_reports(enumerate_graphs(dedup), theorem, per_graph)
                         want_lines = "".join(line + "\n" for line in report_lines(reports))
-                        lines = "".join(census_lines([dedup], theorem, census))
+                        lines = "".join(census_lines([dedup], census))
                         assert lines == want_lines, (theorem, dedup)
                         assert census.to_json() == per_graph.to_json(), (theorem, dedup)
                         added.checked += census.checked
@@ -411,6 +421,16 @@ def test_summary_counts_and_serialisation():
     assert summary.to_json() == (
         '{"theorem": "weld_half", "checked": 1,'
         ' "skipped": {"isolated_edge": 1}, "violations": []}'
+    )
+    # members counts one verdict for that many graphs that share it
+    summary.add(check_graph(named_graph("C6"), "weld_half"), members=3)
+    summary.add(check_graph(Graph(2, [(0, 1)]), "weld_half"), members=3)
+    assert summary.checked == 4
+    assert summary.skipped == {"isolated_edge": 4}
+    assert summary.violations == []
+    assert summary.to_json() == (
+        '{"theorem": "weld_half", "checked": 4,'
+        ' "skipped": {"isolated_edge": 4}, "violations": []}'
     )
 
 
