@@ -147,8 +147,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     summary = TheoremSummary(args.theorem)
     if args.infile is not None:
         with _input_lines(args) as lines:
-            reports = iter_reports(parse_graph6_stream(lines), args.theorem, summary)
-            sys.stdout.writelines(line + "\n" for line in report_lines(reports))
+            sys.stdout.writelines(report_lines(iter_reports(parse_graph6_stream(lines), summary)))
     else:
         specs = [
             EnumerationSpec(n, not args.include_disconnected, shard=args.shard or (0, 1))

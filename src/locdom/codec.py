@@ -19,7 +19,8 @@ parse a record when it is consumed, so a malformed one raises after the
 records before it, and only the record being read is held in memory.
 
 Reports are one JSON object per line with a fixed key order, so verification
-output can be streamed, diffed bytewise, and split across shards.
+output can be streamed, diffed bytewise, and split across shards.  Each line
+comes with its newline, so a stream is the join of its lines.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ def write_edgelist(g: Graph) -> str:
 
 def report_tail(rep: "BoundReport") -> str:
     """A report line after its graph6 value: n, m, then the verdict fields
-    (param, value, bound and margin, or skipped_reason), and the closing brace.
+    (param, value, bound and margin, or skipped_reason), the closing brace
+    and the newline.
 
     `bound` and `margin` are exact rationals written as strings, such as
     "10/3", "3" or "-1/3".
@@ -190,11 +192,11 @@ def report_tail(rep: "BoundReport") -> str:
             bound=str(chk.bound),
             margin=str(chk.bound - chk.value),
         )
-    return ", " + json.dumps(record)[1:]
+    return ", " + json.dumps(record)[1:] + "\n"
 
 
 def report_lines(reports: Iterable["BoundReport"]) -> Iterator[str]:
-    """One JSON object per report, without its newline: graph6, then
+    """One line per report, a JSON object and its newline: graph6, then
     report_tail.
 
     Key order is fixed so equal runs produce bytewise equal output.  graph6

@@ -330,24 +330,21 @@ class TheoremSummary:
         )
 
 
-def iter_reports(
-    graphs: Iterable[Graph], theorem: str, summary: "TheoremSummary | None" = None
-) -> Iterator[BoundReport]:
-    """Streaming map of check_graph, optionally feeding a running summary."""
+def iter_reports(graphs: Iterable[Graph], summary: TheoremSummary) -> Iterator[BoundReport]:
+    """Streaming map of check_graph for summary.theorem, feeding summary."""
     for g in graphs:
-        report = check_graph(g, theorem)
-        if summary is not None:
-            summary.add(report)
+        report = check_graph(g, summary.theorem)
+        summary.add(report)
         yield report
 
 
 def census_lines(specs: Iterable[EnumerationSpec], summary: TheoremSummary) -> Iterator[str]:
-    """The lines of report_lines(iter_reports(...)) for summary.theorem over
-    enumerate_graphs(spec) for each spec in turn, each ending in a newline,
-    with summary fed too.  Each class's first member is checked; see the
-    module docstring for which verdicts are kept and what a later member
-    costs.  A kept verdict reaches summary once per spec, for all of its
-    members, and a failing member's as it streams.
+    """report_lines(iter_reports(graphs, t)) over the graphs of the specs in
+    turn, with t = TheoremSummary(summary.theorem): the joins of the two
+    streams are equal, and summary counts what t counts.  Each class's first
+    member is checked; see the module docstring for which verdicts are kept
+    and what a later member costs.  A kept verdict reaches summary once per
+    spec, for all of its members, and a failing member's as it streams.
     """
     for spec in specs:
         n = spec.n
@@ -362,7 +359,7 @@ def census_lines(specs: Iterable[EnumerationSpec], summary: TheoremSummary) -> I
             tail = tails[c]
             if tail is None:
                 report = check_graph(Graph._from_mask(n, mask), summary.theorem)
-                tail = '"' + report_tail(report) + "\n"
+                tail = '"' + report_tail(report)
                 if report.check is None or report.check.holds:
                     reports[c], tails[c] = report, tail
                 else:

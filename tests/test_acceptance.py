@@ -184,7 +184,7 @@ def test_criterion_5_extremal_exactness():
 def test_criterion_6_size_six_census():
     _, summary = _run_theorem("size6_eld3")
     # connected graphs with six edges also live on seven vertices: the trees
-    for _ in iter_reports(_trees(7), "size6_eld3", summary):
+    for _ in iter_reports(_trees(7), summary):
         pass
     ok = (
         summary.violations == []
@@ -260,7 +260,7 @@ def test_criterion_9_determinism_and_roundtrip(weld_sweep):
     second_text, _ = _run_theorem("weld_half")
     # the oracle: check_graph on every labeled graph, one at a time
     graphs = chain.from_iterable(map(enumerate_graphs, SWEEP_SPECS))
-    per_graph = "".join(line + "\n" for line in report_lines(iter_reports(graphs, "weld_half")))
+    per_graph = "".join(report_lines(iter_reports(graphs, TheoremSummary("weld_half"))))
     deterministic = first_text == second_text == per_graph
 
     rng = random.Random(42)

@@ -405,11 +405,13 @@ def test_verify_shards_partition(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("theorem", THEOREMS)
-def test_verify_enumeration_matches_per_graph_reports(theorem, capsys, monkeypatch):
+def test_verify_enumeration_matches_per_graph_reports(theorem, tmp_path, capsys, monkeypatch):
     # The CLI solves each isomorphism class once; the per-graph path is the oracle.
     # The second pass fails every checked graph with m = 3, a set closed under
     # isomorphism, so the census must check each member of a failing class on
     # its own: its violations are the stream's m = 3 checks, in stream order.
+    # Each unsharded census's graph6 column, read back through --in, gives the
+    # same stdout and exit code.
     real_check = verify.check_graph
 
     def fail_size_three(g, theorem):
@@ -431,9 +433,9 @@ def test_verify_enumeration_matches_per_graph_reports(theorem, capsys, monkeypat
                     enumerate_graphs(EnumerationSpec(n, not disconnected, shard=shard))
                     for n in range(1, 6)
                 )
-                want = [*report_lines(iter_reports(graphs, theorem, summary)), summary.to_json()]
+                want = "".join(report_lines(iter_reports(graphs, summary)))
                 case = (theorem, check.__name__, disconnected, shard)
-                assert out == "".join(line + "\n" for line in want), case
+                assert out == want + summary.to_json() + "\n", case
                 *records, census = map(json.loads, out.splitlines())
                 failing = [
                     r["graph6"] for r in records
@@ -441,6 +443,11 @@ def test_verify_enumeration_matches_per_graph_reports(theorem, capsys, monkeypat
                 ]
                 assert census["violations"] == failing, case
                 assert rc == (3 if failing else 0), case
+                if shard == (0, 1):
+                    path = tmp_path / "census.g6"
+                    path.write_text("".join(r["graph6"] + "\n" for r in records))
+                    argv = ["verify", "--theorem", theorem, "--in", str(path)]
+                    assert run_cli(capsys, monkeypatch, argv)[:2] == (rc, out), case
 
 
 def test_verify_usage_errors(tmp_path, capsys, monkeypatch):

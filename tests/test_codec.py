@@ -307,14 +307,14 @@ def test_report_check_line_format():
     lines = list(report_lines([rep]))
     assert lines == [
         '{"graph6": "EhEG", "n": 6, "m": 6, "param": "weld", '
-        '"value": 3, "bound": "3", "margin": "0"}'
+        '"value": 3, "bound": "3", "margin": "0"}\n'
     ]
 
 
 def test_report_skip_line_format():
     rep = check_graph(Graph(2, [(0, 1)]), "weld_half")
     assert list(report_lines([rep])) == [
-        '{"graph6": "A_", "n": 2, "m": 1, "skipped_reason": "isolated_edge"}'
+        '{"graph6": "A_", "n": 2, "m": 1, "skipped_reason": "isolated_edge"}\n'
     ]
 
 
@@ -334,7 +334,7 @@ def test_report_lines_are_json_for_any_graph6_text():
 
 
 def _per_record_json(rep):
-    """The report line from one json.dumps of the whole record."""
+    """The report line from one json.dumps of the whole record, and its newline."""
     record = {"graph6": rep.graph6, "n": rep.n, "m": rep.m}
     chk = rep.check
     if chk is None:
@@ -346,7 +346,7 @@ def _per_record_json(rep):
             bound=str(chk.bound),
             margin=str(chk.bound - chk.value),
         )
-    return json.dumps(record)
+    return json.dumps(record) + "\n"
 
 
 def test_report_lines_matches_per_record_json():

@@ -172,8 +172,8 @@ def test_dedup_shards_partition_the_classes():
                         dedup = EnumerationSpec(n, connected_only, True, (i, total))
                         assert [g.edges for g in enumerate_graphs(dedup)] == want[i::total]
                         census, per_graph = TheoremSummary(theorem), TheoremSummary(theorem)
-                        reports = iter_reports(enumerate_graphs(dedup), theorem, per_graph)
-                        want_lines = "".join(line + "\n" for line in report_lines(reports))
+                        reports = iter_reports(enumerate_graphs(dedup), per_graph)
+                        want_lines = "".join(report_lines(reports))
                         lines = "".join(census_lines([dedup], census))
                         assert lines == want_lines, (theorem, dedup)
                         assert census.to_json() == per_graph.to_json(), (theorem, dedup)
@@ -464,32 +464,36 @@ def test_summary_registers_violations():
 def test_verify_theorem_small_sweep():
     graphs = list(enumerate_graphs(EnumerationSpec(n=4)))
     summary = TheoremSummary("weld_half")
-    reports = list(iter_reports(graphs, "weld_half", summary))
+    reports = list(iter_reports(graphs, summary))
     assert len(reports) == 38
     assert summary.checked == 38
     assert summary.skipped == {}
     assert summary.violations == []
-    summary2 = TheoremSummary("eld_half")
-    list(iter_reports(graphs, "eld_half", summary2))
-    assert summary2.checked == 0  # every connected 4-vertex graph has edge-twins
-    assert summary2.skipped["not_edge_twin_free"] == 38
 
 
 def test_iter_reports_streams_and_feeds_summary():
+    # the theorem is the summary's: each report checks its parameter, and the
+    # summary counts the verdicts of that theorem, not of another
     graphs = enumerate_graphs(EnumerationSpec(n=3))
     summary = TheoremSummary("ore_half")
     seen = 0
-    for rep in iter_reports(graphs, "ore_half", summary):
+    for rep in iter_reports(graphs, summary):
         seen += 1
         assert rep.skipped_reason is None
+        assert rep.check.parameter == "dom"
     assert seen == 4
     assert summary.checked == 4
+    summary = TheoremSummary("eld_half")
+    reports = list(iter_reports(enumerate_graphs(EnumerationSpec(n=4)), summary))
+    assert {rep.skipped_reason for rep in reports} == {"not_edge_twin_free"}
+    assert summary.checked == 0  # every connected 4-vertex graph has edge-twins
+    assert summary.skipped == {"not_edge_twin_free": 38}
 
 
 def test_report_stream_is_deterministic():
     def run():
         graphs = enumerate_graphs(EnumerationSpec(n=4))
-        return "".join(line + "\n" for line in report_lines(iter_reports(graphs, "weld_half")))
+        return "".join(report_lines(iter_reports(graphs, TheoremSummary("weld_half"))))
 
     first, second = run(), run()
     assert first == second
